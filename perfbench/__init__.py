@@ -2,7 +2,7 @@
 
 Run it from the repository root::
 
-    python3 -m perfbench --workload suite-combinatorial --seed 1 --seconds 25 --trace 0
+    python3 -m perfbench --workload suite-spectral --seed 1 --seconds 40 --trace 0
 
 See ``perfbench/README.md`` for the workloads, the metrics and the
 layer-to-metric predictions.

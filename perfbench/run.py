@@ -38,7 +38,7 @@ END_TO_END = {
     "peak_rss_mb": "MiB",
 }
 
-WORKLOAD_NAMES = ("suite-combinatorial", "suite-spectral", "serve-warm")
+WORKLOAD_NAMES = ("suite-spectral", "serve-warm")
 
 
 def _runner(workload: str, traced: bool):

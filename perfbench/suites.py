@@ -1,4 +1,4 @@
-"""The batch workloads: ``repro suite`` processes launched as a user would."""
+"""The batch workload: ``repro suite`` processes launched as a user would."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import json
 import math
 import shutil
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,23 +29,24 @@ PAPER_PROBLEMS = (
     "BLKHOLE", "CAN1072", "DWT2680", "POW9", "SSTMODEL",
     "BARTH4", "BODY", "FLAP", "IN3C", "PWT", "SHUTTLE", "SKIRT",
 )
-COMBINATORIAL = "rcm,gps,gk,sloan"
 
 #: The per-cell limit of the spectral suite: far above any cell's time, so
 #: it only selects the killable per-cell worker path.
 SPECTRAL_TIMEOUT_S = 120
 
 #: A suite's set-up probe: one tiny cell, i.e. interpreter start, imports,
-#: registry and artifact writing with next to no ordering work.
+#: registry and artifact writing with next to no ordering work.  A probe
+#: runs before every :data:`PROBE_EVERY`-th iteration.
 SETUP_CALL_ARGS = ("POW9", "--algorithms", "rcm", "--scale", "0.02", "--jobs", "1")
-SETUP_REPEATS = 5
+PROBE_EVERY = 2
 
-#: Cell latencies a run needs, so that at least 10 lie above the p95.
-MIN_CELLS = 200
+#: Cell timings the latency percentiles pool, so that at least 10 lie above
+#: the p95.
+MIN_SAMPLES = 200
 
 #: Wall time of one iteration of each workload on a 2-core x86-64 host
 #: (Python 3.11), used to turn ``--seconds`` into an iteration count.
-NOMINAL_ITERATION_S = {"suite-combinatorial": 7.0, "suite-spectral": 4.0}
+NOMINAL_ITERATION_S = {"suite-spectral": 3.4}
 OVERRUN = 1.5
 
 
@@ -71,10 +73,6 @@ class SuiteCall:
 
 
 WORKLOADS = {
-    "suite-combinatorial": (
-        SuiteCall(PAPER_PROBLEMS, COMBINATORIAL, 0.04, ("--jobs", "1")),
-        SuiteCall(("RANDOM/BA", "RANDOM/RMAT"), COMBINATORIAL, 0.005, ("--jobs", "1")),
-    ),
     "suite-spectral": (
         SuiteCall(PAPER_PROBLEMS, "spectral,hybrid", 0.1,
                   ("--jobs", "2", "--timeout", str(SPECTRAL_TIMEOUT_S)),
@@ -96,16 +94,16 @@ def expected_sizes(calls) -> dict:
 
 
 def run_iteration(calls, seed: int, wd: Path, tag: str, traced_out=None):
-    """Run every call of the workload once; ``(wall_s, records)``."""
-    wall, records = 0.0, []
+    """Run every call of the workload once; ``(wall_s of each call, records)``."""
+    walls, records = [], []
     for k, call in enumerate(calls):
         output = wd / f"{tag}-{k}.json"
-        wall += run_program(repro_command(*call.args(seed, output),
-                                          traced_out=traced_out))
+        walls.append(run_program(repro_command(*call.args(seed, output),
+                                               traced_out=traced_out)))
         records.extend(json.loads(output.read_text())["records"])
         output.unlink()
         shutil.rmtree(output.with_suffix(".store"), ignore_errors=True)
-    return wall, records
+    return walls, records
 
 
 def check_records(records, calls, sizes: dict, tally: Tally) -> list[dict]:
@@ -132,50 +130,69 @@ def canonical_set(records) -> list[str]:
     return sorted(canonical_record(r) for r in records)
 
 
-def setup_seconds(seed: int, wd: Path, tally: Tally) -> float:
-    """Median wall time of fresh set-up probe processes."""
-    times = []
-    for i in range(SETUP_REPEATS):
-        output = wd / f"setup-{i}.json"
-        args = ["suite", *SETUP_CALL_ARGS, "--seed", str(seed), "--no-progress",
-                "--output", str(output)]
-        times.append(run_program(repro_command(*args)))
-        for record in json.loads(output.read_text())["records"]:
-            tally.check(record_problems(record))
-    return median(times)
+def setup_probe(seed: int, wd: Path, index: int, tally: Tally) -> float:
+    """Wall time of one fresh set-up probe process."""
+    output = wd / f"setup-{index}.json"
+    args = ["suite", *SETUP_CALL_ARGS, "--seed", str(seed), "--no-progress",
+            "--output", str(output)]
+    wall = run_program(repro_command(*args))
+    for record in json.loads(output.read_text())["records"]:
+        tally.check(record_problems(record))
+    output.unlink()
+    return wall
+
+
+def kept(workload: str) -> int:
+    """Timings of each cell a run keeps: the fewest that give :data:`MIN_SAMPLES`."""
+    cells = sum(len(call.cells()) for call in WORKLOADS[workload])
+    return math.ceil(MIN_SAMPLES / cells)
+
+
+def fastest(values, keep: int) -> list:
+    """The ``keep`` smallest of ``values``."""
+    return sorted(values)[:keep]
 
 
 def iterations(workload: str, seconds: float) -> tuple[int, int]:
     """``(planned, minimum)`` iteration counts of one run.
 
     ``planned`` fills about ``seconds`` at the nominal iteration time;
-    ``minimum`` is what :data:`MIN_CELLS` cell latencies need.  A run on a
-    host much slower than nominal stops after ``minimum`` once it has used
-    :data:`OVERRUN` times ``seconds``.
+    ``minimum`` is :func:`kept`, what the latency percentiles need.  A run
+    on a host much slower than nominal stops after ``minimum`` once it has
+    used :data:`OVERRUN` times ``seconds``.
     """
-    cells = sum(len(call.cells()) for call in WORKLOADS[workload])
-    minimum = max(2, math.ceil(MIN_CELLS / cells))
+    minimum = kept(workload)
     return max(minimum, round(seconds / NOMINAL_ITERATION_S[workload])), minimum
 
 
 def run(workload: str, seed: int, seconds: float, wd: Path, tally: Tally, info: dict) -> dict:
-    """The end-to-end metrics of one untraced run."""
+    """The end-to-end metrics of one untraced run.
+
+    Every timing is repeated, and the run keeps only the fast repeats: the
+    fastest :func:`kept` walls of each call and timings of each cell, and the
+    faster half of the set-up probes.  The slower repeats are the ones a
+    busy neighbour on the host slowed down.
+    """
     calls = WORKLOADS[workload]
     sizes = expected_sizes(calls)
-    setup_s = setup_seconds(seed, wd, tally)
+    keep = kept(workload)
 
-    walls, latencies_ms, esizes, first = [], [], [], None
+    setups, walls, esizes, first = [], [], [], None
+    cell_times = defaultdict(list)
     ok_cells = 0
     planned, minimum = iterations(workload, seconds)
     start = time.perf_counter()
     for iteration in range(planned):
         if iteration >= minimum and time.perf_counter() - start > OVERRUN * seconds:
             break
-        wall, records = run_iteration(calls, seed, wd, f"it{iteration}")
-        walls.append(wall)
+        if iteration % PROBE_EVERY == 0:
+            setups.append(setup_probe(seed, wd, iteration, tally))
+        call_walls, records = run_iteration(calls, seed, wd, f"it{iteration}")
+        walls.append(call_walls)
         ok = check_records(records, calls, sizes, tally)
         ok_cells += len(ok)
-        latencies_ms += [r["time_s"] * 1e3 for r in ok]
+        for record in ok:
+            cell_times[record["problem"], record["algorithm"]].append(record["time_s"])
         esizes += [r["metrics"]["envelope_size"] for r in ok]
         canonical = canonical_set(records)
         if first is None:
@@ -183,14 +200,18 @@ def run(workload: str, seed: int, seconds: float, wd: Path, tally: Tally, info: 
         else:
             tally.check([] if canonical == first else
                         ["records differ between iterations of one seed"])
-    info.update(iterations=len(walls), cells=len(latencies_ms),
-                iteration_walls_s=[round(w, 4) for w in walls])
+    latencies_ms = [t * 1e3 for times in cell_times.values() for t in fastest(times, keep)]
+    wall_s = sum(median(fastest(call_walls, keep)) for call_walls in zip(*walls))
+    info.update(iterations=len(walls), kept=keep, cells=len(cell_times),
+                samples=len(latencies_ms),
+                call_walls_s=[[round(w, 4) for w in ws] for ws in walls],
+                setups_s=[round(s, 4) for s in setups])
     return {
-        "setup_s": setup_s,
-        "wall_s": median(walls),
+        "setup_s": median(fastest(setups, max(1, len(setups) // 2))),
+        "wall_s": wall_s,
         "latency_p50_ms": percentile(latencies_ms, 50),
         "latency_p95_ms": percentile(latencies_ms, 95),
-        "requests_per_s": ok_cells / sum(walls),
+        "requests_per_s": ok_cells / len(walls) / wall_s,
         "success_ratio": tally.success_ratio,
         "esize_geomean": geomean(esizes),
         "peak_rss_mb": peak_child_rss_mb(),
@@ -202,9 +223,10 @@ def run_traced(workload: str, seed: int, seconds: float, wd: Path, tally: Tally,
     """The per-layer metrics: one untraced and one traced iteration."""
     calls = WORKLOADS[workload]
     sizes = expected_sizes(calls)
-    untraced_s, plain = run_iteration(calls, seed, wd, "plain")
+    untraced_walls, plain = run_iteration(calls, seed, wd, "plain")
     trace_dir = wd / "trace"
-    traced_s, traced = run_iteration(calls, seed, wd, "traced", traced_out=trace_dir)
+    traced_walls, traced = run_iteration(calls, seed, wd, "traced", traced_out=trace_dir)
+    untraced_s, traced_s = sum(untraced_walls), sum(traced_walls)
     check_records(plain, calls, sizes, tally)
     check_records(traced, calls, sizes, tally)
     tally.check([] if canonical_set(plain) == canonical_set(traced) else

@@ -61,6 +61,16 @@ def test_percentile_refuses_a_thin_tail():
         percentile([], 50)
 
 
+@pytest.mark.parametrize("workload", suites.NOMINAL_ITERATION_S)
+def test_suite_runs_keep_enough_fast_repeats(workload):
+    keep = suites.kept(workload)
+    cells = sum(len(call.cells()) for call in suites.WORKLOADS[workload])
+    percentile(range(keep * cells), 95)  # at least 10 kept timings above the p95
+    planned, minimum = suites.iterations(workload, _spec()["run_seconds"])
+    assert minimum == keep < planned  # a full run drops its slower repeats
+    assert suites.fastest([3, 1, 2, 5], 2) == [1, 2]
+
+
 # ---------------------------------------------------------------------- #
 # tracer
 # ---------------------------------------------------------------------- #
@@ -109,7 +119,6 @@ def tiny(monkeypatch):
         name: tuple(dataclasses.replace(call, scale=min(call.scale, 0.01))
                     for call in calls)
         for name, calls in suites.WORKLOADS.items()})
-    monkeypatch.setattr(suites, "SETUP_REPEATS", 1)
     monkeypatch.setattr(serveload, "SCALE", 0.03)
     monkeypatch.setattr(serveload, "GRID_SIDE", 12)
     monkeypatch.setattr(serveload, "SETUP_REPEATS", 1)
