@@ -645,8 +645,6 @@ def run_suite(
     if not keep_orderings:
         for record in records:
             record.ordering = None
-    from repro import backends
-
     return SuiteResult(
         problems=problems,
         algorithms=list(algorithms),
@@ -656,5 +654,4 @@ def run_suite(
         records=records,
         wall_time_s=float(timer.elapsed),
         shard=shard,
-        backend=backends.backend_summary(),
     )

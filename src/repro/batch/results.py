@@ -195,13 +195,6 @@ class SuiteResult:
     #: absent from the JSON) for every complete artifact, so canonical
     #: byte-identity of clean runs is untouched.
     partial: dict | None = None
-    #: Kernel-backend summary of the run (``repro.backends.backend_summary``):
-    #: requested tier, numba availability/versions, whether an explicit
-    #: ``numba`` request fell back to numpy.  Serialized only in the full
-    #: (timing) form — like ``n_jobs`` it describes *how* the run executed,
-    #: not *what* it computed, so the canonical form stays byte-identical
-    #: across backends.
-    backend: dict | None = None
 
     # ------------------------------------------------------------------ #
     # access helpers
@@ -288,8 +281,6 @@ class SuiteResult:
         if include_timing:
             payload["n_jobs"] = int(self.n_jobs)
             payload["wall_time_s"] = float(self.wall_time_s)
-            if self.backend is not None:
-                payload["backend"] = dict(self.backend)
         return payload
 
     def to_json(self, include_timing: bool = True, indent: int = 2) -> str:
@@ -331,7 +322,6 @@ class SuiteResult:
             shard=None if shard is None else (int(shard[0]), int(shard[1])),
             schema_version=int(version),
             partial=payload.get("partial"),
-            backend=payload.get("backend"),
         )
 
     @classmethod

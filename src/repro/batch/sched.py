@@ -247,9 +247,13 @@ class CostModel:
         key = (str(problem).strip().upper(), algorithm, _scale_key(scale))
         return bool(self._direct.get(key))
 
-    def _rate(self, algorithm: str) -> float:
-        """Median seconds per unit of ``n * nnz`` for one algorithm."""
-        rates = self._rates.get(algorithm) or self._all_rates
+    def _rate(self, algorithm: str, pooled: bool = True) -> float:
+        """Median seconds per unit of ``n * nnz`` for one algorithm.
+
+        An algorithm never observed gets the all-algorithm median when
+        *pooled*, else (like a blank model) :data:`_DEFAULT_RATE_S`.
+        """
+        rates = self._rates.get(algorithm) or (self._all_rates if pooled else None)
         return statistics.median(rates) if rates else _DEFAULT_RATE_S
 
     def _size(self, problem: str, scale: float | None) -> float:
@@ -422,6 +426,10 @@ def auto_timeout(cost_model: CostModel):
     functions) are bounded by the same ``estimate * safety`` formula: their
     size estimate is analytic rather than guessed, and an unbounded cell at
     n~10^6 is precisely the hang the scale-stress tier must never allow.
+    Such a cell is bounded only by its own algorithm's observed rate, or by
+    the blank-model rate when that algorithm was never observed: rates per
+    ``n * nnz`` differ several-fold between algorithms, so borrowing
+    another algorithm's rate would eat the safety margin.
 
     >>> from repro.batch.tasks import BatchTask
     >>> model = CostModel()
@@ -438,13 +446,14 @@ def auto_timeout(cost_model: CostModel):
     from repro.collections.registry import has_analytic_size
 
     def timeout_for(task) -> float | None:
-        observed = cost_model.observed_cell(task.problem, task.algorithm, task.scale)
-        if not observed and not has_analytic_size(task.problem):
+        if cost_model.observed_cell(task.problem, task.algorithm, task.scale):
+            estimate = cost_model.estimate_task(task)
+        elif has_analytic_size(task.problem):
+            estimate = cost_model._rate(task.algorithm, pooled=False) * cost_model._size(
+                str(task.problem).strip().upper(), _scale_key(task.scale))
+        else:
             return None
-        return max(
-            AUTO_TIMEOUT_FLOOR_S,
-            cost_model.estimate_task(task) * AUTO_TIMEOUT_SAFETY,
-        )
+        return max(AUTO_TIMEOUT_FLOOR_S, estimate * AUTO_TIMEOUT_SAFETY)
 
     return timeout_for
 

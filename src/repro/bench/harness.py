@@ -64,12 +64,6 @@ _KIND = "repro-bench"
 _NOISE_FLOOR_S = 1e-3
 
 
-def _requested_backend() -> str:
-    from repro import backends
-
-    return backends.requested_backend()
-
-
 @dataclass(frozen=True)
 class KernelBench:
     """One named micro-benchmark of the pinned suite.
@@ -86,28 +80,17 @@ class KernelBench:
 
 
 def machine_info() -> dict:
-    """Platform / library versions recorded into every artifact.
-
-    Includes the active kernel backend tier (``backend``) and — when the
-    compiled tier is importable — the numba/llvmlite versions, so a bench
-    artifact is self-describing about *which* implementation it timed.
-    """
+    """Platform / library versions recorded into every artifact."""
     import scipy
 
-    from repro import backends
-
-    info = {
+    return {
         "platform": platform.platform(),
         "machine": platform.machine(),
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "cpu_count": os.cpu_count(),
-        "backend": backends.requested_backend(),
-        "numba_available": backends.numba_available(),
     }
-    info.update(backends.numba_versions())
-    return info
 
 
 def bench_revision() -> str:
@@ -382,8 +365,7 @@ def run_bench(
         "machine": machine_info(),
         "config": {"quick": quick, "repeats": repeats,
                    "filter": name_filter, "include_suite": include_suite,
-                   "fiedler_policy": fiedler_policy,
-                   "backend": _requested_backend()},
+                   "fiedler_policy": fiedler_policy},
         "kernels": kernels,
         "suite": suite_section,
         "total_s": time.perf_counter() - start,
@@ -502,10 +484,6 @@ def diff_bench(baseline: dict, current: dict, *, threshold: float = 0.25) -> dic
             (baseline.get("config") or {}).get("fiedler_policy", "default"),
             (current.get("config") or {}).get("fiedler_policy", "default"),
         ),
-        "backends": (
-            (baseline.get("config") or {}).get("backend", "auto"),
-            (current.get("config") or {}).get("backend", "auto"),
-        ),
         "threshold": threshold,
         "rows": rows,
         "regressions": regressions,
@@ -533,9 +511,9 @@ def trend_bench(artifacts: list[dict]) -> dict:
     "how much faster is the newest artifact than the oldest, per group".
 
     Returns a dict with ``groups`` (sorted union of group names), ``steps``
-    (one per consecutive pair: ``base_rev``, ``new_rev``, the two
-    ``backend`` tiers, per-group ``speedups``/``cumulative`` maps and
-    ``common`` row counts), suitable for :func:`format_trend`.
+    (one per consecutive pair: ``base_rev``, ``new_rev``, per-group
+    ``speedups``/``cumulative`` maps and ``common`` row counts), suitable
+    for :func:`format_trend`.
     """
     if len(artifacts) < 2:
         raise ValueError("trend needs at least two bench artifacts")
@@ -573,10 +551,6 @@ def trend_bench(artifacts: list[dict]) -> dict:
         steps.append({
             "base_rev": base.get("rev", "?"),
             "new_rev": new.get("rev", "?"),
-            "backends": (
-                (base.get("config") or {}).get("backend", "auto"),
-                (new.get("config") or {}).get("backend", "auto"),
-            ),
             "speedups": speedups,
             "cumulative": dict(cumulative),
             "common": {group: len(values) for group, values in logs.items()},
@@ -598,8 +572,6 @@ def format_trend(trend: dict) -> str:
 
     for step in trend["steps"]:
         label = f"{step['base_rev']} -> {step['new_rev']}"
-        if step["backends"][0] != step["backends"][1]:
-            label += f" [{step['backends'][0]}->{step['backends'][1]}]"
         lines.append(f"{label:<28} "
                      + " ".join(cell(step["speedups"].get(g)) for g in groups))
     if trend["steps"]:
@@ -632,13 +604,6 @@ def format_diff(diff: dict) -> str:
     if policies[0] != policies[1]:
         lines.append(f"WARNING: fiedler policies differ (baseline {policies[0]}, "
                      f"current {policies[1]}) — timings are not like-for-like")
-    tiers = diff.get("backends", ("auto", "auto"))
-    if tiers[0] != tiers[1]:
-        # Deliberately a NOTE, not a gate failure: diffing a numpy artifact
-        # against a numba artifact is how backend speedups get measured.
-        lines.append(f"NOTE: backend tiers differ (baseline {tiers[0]}, "
-                     f"current {tiers[1]}) — this diff measures the backend, "
-                     f"not the revision")
     lines.append(f"total micro-suite wall time: {diff['total_base_s']:.3f}s -> "
                  f"{diff['total_new_s']:.3f}s ({diff['total_speedup']:.2f}x)")
     if diff["regressions"]:

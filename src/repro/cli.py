@@ -339,52 +339,7 @@ def _activate_faults(spec_arg) -> "int | None":
     return None
 
 
-def _activate_backend(backend_arg) -> "int | None":
-    """Validate and activate ``--backend NAME``, or return exit code 2.
-
-    The choice is exported as ``REPRO_BACKEND`` so suite worker processes
-    inherit it (same pattern as ``REPRO_STORE`` / ``REPRO_FAULTS``).  An
-    explicit request for an unavailable tier (``--backend numba`` without
-    numba installed) is rejected up front with a structured message —
-    in-process dispatch would otherwise silently fall back per kernel,
-    which is the right behavior for an *inherited* environment variable
-    but not for a flag the user just typed.
-    """
-    import os
-
-    from repro import backends
-
-    if backend_arg is None:
-        # No flag: an inherited REPRO_BACKEND still applies; validate it the
-        # same way so a typo'd explicit tier fails loudly here rather than
-        # being silently treated as auto inside workers.
-        inherited = os.environ.get("REPRO_BACKEND", "").strip().lower()
-        if inherited and inherited in backends.REQUESTABLE:
-            try:
-                backends.require_backend(inherited)
-            except backends.BackendUnavailableError as exc:
-                print(f"REPRO_BACKEND: {exc}", file=sys.stderr)
-                return 2
-        return None
-    try:
-        choice = backends.require_backend(backend_arg)
-    except ValueError as exc:
-        print(f"--backend: {exc}", file=sys.stderr)
-        return 2
-    except backends.BackendUnavailableError as exc:
-        print(f"--backend: {exc}", file=sys.stderr)
-        return 2
-    os.environ["REPRO_BACKEND"] = choice
-    backends.set_backend(choice)
-    if choice != "auto":
-        print(f"kernel backend: {choice}", file=sys.stderr)
-    return None
-
-
 def _cmd_suite(args) -> int:
-    failed_backend = _activate_backend(args.backend)
-    if failed_backend is not None:
-        return failed_backend
     store = _activate_store(args.store)
     failed_faults = _activate_faults(args.inject_faults)
     if failed_faults is not None:
@@ -725,7 +680,7 @@ def _cmd_bench(args) -> int:
     )
 
     if args.trend is not None:
-        # Pure artifact analysis: no kernels run, no store or backend needed.
+        # Pure artifact analysis: no kernels run, no store needed.
         if len(args.trend) < 2:
             print("--trend needs at least two bench artifacts", file=sys.stderr)
             return 2
@@ -742,9 +697,6 @@ def _cmd_bench(args) -> int:
         print(format_trend(trend_bench(artifacts)))
         return 0
 
-    failed_backend = _activate_backend(args.backend)
-    if failed_backend is not None:
-        return failed_backend
     store = _activate_store(args.store)
     if args.repeats is not None and args.repeats < 1:
         print(f"--repeats must be a positive integer, got {args.repeats}",
@@ -914,9 +866,6 @@ def _cmd_serve(args) -> int:
 
     from repro.serve import ServeConfig
 
-    failed_backend = _activate_backend(args.backend)
-    if failed_backend is not None:
-        return failed_backend
     _activate_store(args.store)
     failed_faults = _activate_faults(args.inject_faults)
     if failed_faults is not None:
@@ -1344,14 +1293,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "across runs and worker processes (exported as "
                                    "REPRO_STORE; results are byte-identical with "
                                    "the store on or off)")
-    suite_parser.add_argument("--backend", default=None,
-                              choices=["auto", "numpy", "python", "numba"],
-                              help="kernel backend tier (exported as "
-                                   "REPRO_BACKEND so workers inherit it): "
-                                   "'auto' engages the compiled tier above the "
-                                   "cost-model size threshold when numba is "
-                                   "installed; 'numba' without numba exits 2; "
-                                   "results are bit-identical across tiers")
     suite_parser.add_argument("--baseline", default=None,
                               help="diff against a saved results.json (exit 1 on drift)")
     suite_parser.add_argument("--progress", default=None, action=argparse.BooleanOptionalAction,
@@ -1418,12 +1359,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "note: warm structural artifacts change what a "
                                    "timed kernel measures, so compare like against "
                                    "like")
-    bench_parser.add_argument("--backend", default=None,
-                              choices=["auto", "numpy", "python", "numba"],
-                              help="kernel backend tier to time (recorded in the "
-                                   "artifact config; diff a numpy artifact "
-                                   "--against a numba one to measure the "
-                                   "compiled-tier speedup)")
     bench_parser.add_argument("--trend", default=None, nargs="+",
                               metavar="BENCH.json",
                               help="no bench run: chart the kernel-group geomean "
@@ -1641,11 +1576,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="activate deterministic fault injection "
                                    "(exported as REPRO_FAULTS; see "
                                    "docs/robustness.md)")
-    serve_parser.add_argument("--backend", default=None,
-                              choices=["auto", "numpy", "python", "numba"],
-                              help="kernel backend tier for served orderings "
-                                   "(exported as REPRO_BACKEND so subprocess "
-                                   "workers inherit it; reported by /statsz)")
     serve_parser.set_defaults(func=_cmd_serve)
 
     order_parser = sub.add_parser(

@@ -166,15 +166,7 @@ def rayleigh_quotient_iteration(
             return RQIResult(rho, x, residual_norm, iterations - 1, True)
         shifted = _shifted(q, rho, shift_scratch)
         if sp.issparse(shifted):
-            # Route MINRES's matvec through the backend registry when a
-            # compiled tier is selected (bit-identical to `shifted @ v`).
-            from repro import backends
-
-            compiled = backends.spmv_operator(shifted)
-            operator = shifted if compiled is None else spla.LinearOperator(
-                shifted.shape, matvec=compiled, dtype=shifted.dtype
-            )
-            y, _info = spla.minres(operator, x, maxiter=inner_iter, rtol=1e-10)
+            y, _info = spla.minres(shifted, x, maxiter=inner_iter, rtol=1e-10)
         else:
             # Dense fallback: least-squares solve handles the (near-)singular shift.
             y, *_ = np.linalg.lstsq(shifted, x, rcond=None)

@@ -11,11 +11,6 @@ instead of a Python loop over vertices.  The discovery order is identical to
 the vertex-at-a-time scan (see :mod:`repro.reference` and the property tests
 in ``tests/test_kernels_reference.py``), so orderings built on these
 primitives are bit-for-bit unchanged.
-
-Both entry points are backend-dispatched (:mod:`repro.backends`): when the
-registry selects a compiled (or loop-``python``) tier for the call's size,
-the queue-scan kernel runs instead of the frontier expansion below — with
-the identical discovery order, pinned by ``tests/test_backends.py``.
 """
 
 from __future__ import annotations
@@ -25,7 +20,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro import backends
 from repro.sparse.pattern import SymmetricPattern
 
 __all__ = [
@@ -122,22 +116,8 @@ def breadth_first_levels(
         if r < 0 or r >= n:
             raise ValueError(f"root {r} out of range for n={n}")
 
-    allowed = np.ones(n, dtype=bool) if restrict_to is None else np.asarray(restrict_to, dtype=bool)
-
-    impl = backends.kernel_impl("bfs_levels", n + pattern.indices.size)
-    if impl is not None:
-        roots_arr = np.asarray(root_list, dtype=np.intp)
-        level_of, order, level_starts, num_levels = impl(
-            pattern.indptr, pattern.indices, roots_arr,
-            np.ascontiguousarray(allowed), n,
-        )
-        levels = [
-            order[level_starts[k] : level_starts[k + 1]].copy()
-            for k in range(num_levels)
-        ]
-        return RootedLevelStructure(tuple(root_list), level_of, levels)
-
     level_of = np.full(n, -1, dtype=np.intp)
+    allowed = np.ones(n, dtype=bool) if restrict_to is None else np.asarray(restrict_to, dtype=bool)
     levels: list[np.ndarray] = []
 
     frontier = np.array([r for r in root_list if allowed[r]], dtype=np.intp)
@@ -196,15 +176,6 @@ def bfs_order(
     if root < 0 or root >= n:
         raise ValueError(f"root {root} out of range for n={n}")
     degrees = pattern.degree()
-
-    impl = backends.kernel_impl("bfs_order", n + pattern.indices.size)
-    if impl is not None:
-        order, tail = impl(
-            pattern.indptr, pattern.indices, degrees, int(root),
-            bool(sort_by_degree), n,
-        )
-        return order[:tail]
-
     fresh = np.ones(n, dtype=bool)
     order = np.empty(n, dtype=np.intp)
     order[0] = root

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import backends
 from repro.envelope.metrics import envelope_size
 from repro.graph.components import connected_components
 from repro.graph.peripheral import pseudo_diameter
@@ -131,14 +130,6 @@ def number_by_levels(
     king = tie_break == "king"
     n = pattern.n
     degrees = pattern.degree()
-
-    impl = backends.kernel_impl("number_by_levels", n + pattern.indices.size)
-    if impl is not None:
-        return impl(
-            pattern.indptr, pattern.indices, degrees,
-            np.ascontiguousarray(levels, dtype=np.intp), int(start), king, n,
-        )
-
     indptr, indices = pattern.indptr, pattern.indices
     numbered = np.zeros(n, dtype=bool)
     # lowest numbered neighbour's number for each vertex (n as "none yet":

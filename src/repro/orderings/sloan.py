@@ -25,7 +25,6 @@ import heapq
 
 import numpy as np
 
-from repro import backends
 from repro.graph.peripheral import pseudo_diameter
 from repro.graph.traversal import distance_from
 from repro.orderings.base import Ordering, order_by_components
@@ -69,16 +68,6 @@ def _sloan_component(pattern: SymmetricPattern, w1: int, w2: int) -> np.ndarray:
     start, end, _su, _sv = pseudo_diameter(pattern)
     dist_to_end = distance_from(pattern, end)
     degrees = pattern.degree()
-
-    # Backend dispatch: the loop-form kernel replicates the heapq
-    # lazy-deletion semantics below exactly (same push counters, same
-    # dedupe rule), so the numbering is bit-identical on every tier.
-    impl = backends.kernel_impl("sloan", n + pattern.indices.size)
-    if impl is not None:
-        return impl(
-            pattern.indptr, pattern.indices, degrees, dist_to_end,
-            int(start), int(w1), int(w2), n,
-        )
 
     status = np.full(n, _INACTIVE, dtype=np.int8)
     # current degree = number of unnumbered, inactive/preactive neighbours + self if inactive

@@ -503,21 +503,7 @@ class OrderingServer:
                      "journaled": self.counters["journaled"],
                      "journal_write_errors": self.counters["journal_write_errors"]},
             "store": store_stats,
-            "backend": _backend_status(),
         }
-
-
-def _backend_status() -> dict:
-    """Kernel-backend tier view for ``/statsz``.
-
-    The per-kernel dispatch counts are this (coordinator) process's own; in
-    subprocess worker mode the workers dispatch in their own processes, so
-    the interesting fields here are the requested tier, numba availability
-    and any recorded fallback from an explicit ``numba`` request.
-    """
-    from repro import backends
-
-    return backends.backend_status()
 
 
 def _journal_exists(path) -> bool:

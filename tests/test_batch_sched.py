@@ -19,6 +19,7 @@ import pytest
 from repro.batch import (
     BatchTask,
     CostModel,
+    auto_timeout,
     build_tasks,
     order_longest_first,
     plan_shards,
@@ -163,6 +164,14 @@ class TestCostModel:
         model = CostModel()
         model.observe("POW9", "rcm", 0.02, 0.2, n=10, nnz=20)
         assert model.estimate("POW9", "sloan", 0.02) == pytest.approx(0.2)
+
+    def test_auto_timeout_never_borrows_another_algorithms_rate(self):
+        """With only rcm observed, an unseen gk RANDOM/* cell gets the blank
+        model's limit, not one scaled from rcm's much cheaper rate."""
+        rcm_only = CostModel()
+        rcm_only.observe("RANDOM/WS", "rcm", 0.01, 0.001, n=10_000, nnz=70_000)
+        task = BatchTask(problem="RANDOM/BA", algorithm="gk", scale=0.01)
+        assert auto_timeout(rcm_only)(task) == auto_timeout(CostModel())(task)
 
     def test_size_rescales_across_scales_quadratically(self):
         model = CostModel()

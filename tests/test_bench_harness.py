@@ -11,12 +11,14 @@ from repro.bench import (
     BENCH_SCHEMA_VERSION,
     diff_bench,
     format_diff,
+    format_trend,
     load_bench,
     measure,
     pinned_micro_suite,
     run_bench,
     save_bench,
     time_call,
+    trend_bench,
 )
 from repro.cli import main
 
@@ -144,6 +146,53 @@ def test_diff_bench_ignores_noise_floor_regressions():
     assert diff["regressions"] == []
 
 
+def _with_backend_keys(artifact):
+    """Add the kernel-backend keys that older bench artifacts carry."""
+    artifact["config"]["backend"] = "numpy"
+    artifact["machine"].update(backend="numpy", numba_available=False)
+    return artifact
+
+
+# --------------------------------------------------------------------- #
+# trend across artifacts
+# --------------------------------------------------------------------- #
+def _trend_artifact(rev, created_s, times):
+    artifact = _artifact_with(
+        [{"name": name, "group": name.split("/")[0], "best_s": t}
+         for name, t in times.items()],
+        rev=rev,
+    )
+    artifact["created_s"] = created_s
+    return artifact
+
+
+def test_trend_sorts_by_creation_and_chains_geomeans():
+    a = _trend_artifact("r1", 100.0, {"orderings/rcm/X": 1.0, "graph/bfs/X": 0.8})
+    b = _trend_artifact("r2", 200.0, {"orderings/rcm/X": 0.5, "graph/bfs/X": 0.8})
+    c = _with_backend_keys(
+        _trend_artifact("r3", 300.0, {"orderings/rcm/X": 0.25, "graph/bfs/X": 0.2}))
+    trend = trend_bench([c, a, b])  # order on disk must not matter
+    assert trend["revisions"] == ["r1", "r2", "r3"]
+    last = trend["steps"][-1]
+    assert last["cumulative"]["orderings"] == pytest.approx(4.0)
+    assert last["cumulative"]["graph"] == pytest.approx(4.0)
+    text = format_trend(trend)
+    assert "cumulative" in text and "[" not in text
+
+
+def test_trend_requires_two_artifacts():
+    with pytest.raises(ValueError, match="at least two"):
+        trend_bench([_trend_artifact("r1", 1.0, {})])
+
+
+def test_trend_disjoint_kernels_yield_no_speedup():
+    a = _trend_artifact("r1", 1.0, {"graph/old/X": 1.0})
+    b = _trend_artifact("r2", 2.0, {"graph/new/X": 0.1})
+    trend = trend_bench([a, b])
+    assert trend["steps"][0]["speedups"]["graph"] is None
+    assert trend["steps"][0]["cumulative"]["graph"] == pytest.approx(1.0)
+
+
 # --------------------------------------------------------------------- #
 # CLI
 # --------------------------------------------------------------------- #
@@ -165,7 +214,7 @@ def test_cli_bench_writes_artifact_and_diffs_clean(tmp_path, capsys):
 def test_cli_bench_exits_nonzero_on_regression(tmp_path, monkeypatch):
     import repro.cli
 
-    baseline = _artifact_with([{"name": "k", "best_s": 0.010}])
+    baseline = _with_backend_keys(_artifact_with([{"name": "k", "best_s": 0.010}]))
     path = tmp_path / "BENCH_base.json"
     path.write_text(json.dumps(baseline))
     regressed = _artifact_with([{"name": "k", "best_s": 0.100}], rev="slow")
@@ -183,6 +232,32 @@ def test_cli_bench_exits_nonzero_on_regression(tmp_path, monkeypatch):
 def test_cli_bench_rejects_nonpositive_repeats(capsys):
     assert main(["bench", "--quick", "--repeats", "0"]) == 2
     assert "--repeats" in capsys.readouterr().err
+
+
+def test_cli_bench_trend(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    a.write_text(json.dumps(_trend_artifact("r1", 100.0, {"graph/bfs/X": 1.0})))
+    b.write_text(json.dumps(_with_backend_keys(
+        _trend_artifact("r2", 200.0, {"graph/bfs/X": 0.25}))))
+    code = main(["bench", "--trend", str(a), str(b)])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "bench trend: r1 -> r2" in out
+    assert "4.00x" in out
+
+
+def test_cli_bench_trend_needs_two_files(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps(_trend_artifact("r1", 1.0, {})))
+    assert main(["bench", "--trend", str(a)]) == 2
+    assert "at least two" in capsys.readouterr().err
+
+
+def test_cli_bench_trend_unreadable_file_exits_2(tmp_path):
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps(_trend_artifact("r1", 1.0, {})))
+    assert main(["bench", "--trend", str(a), str(tmp_path / "nope.json")]) == 2
 
 
 def test_cli_bench_bad_baseline_exit_2(tmp_path):

@@ -220,6 +220,17 @@ class TestSuiteShardingCli:
             paths.append(str(path))
         full_path = tmp_path / "full.json"
         assert main(self.ARGS + ["--output", str(full_path)]) == 0
+        # Older artifacts carry a kernel-backend block in their timing form;
+        # it must load and merge without changing the canonical form.
+        import json
+        from pathlib import Path
+
+        shard = json.loads(Path(paths[0]).read_text())
+        canonical = SuiteResult.from_dict(shard).to_json(include_timing=False)
+        shard["backend"] = {"requested": "auto", "numba_available": False,
+                            "fallback": False}
+        Path(paths[0]).write_text(json.dumps(shard))
+        assert SuiteResult.load(paths[0]).to_json(include_timing=False) == canonical
         merged_path = tmp_path / "merged.json"
         code = main(["merge", *paths, "--output", str(merged_path)])
         assert code == 0
@@ -227,6 +238,7 @@ class TestSuiteShardingCli:
         merged = SuiteResult.load(merged_path)
         full = SuiteResult.load(full_path)
         assert merged.to_json(include_timing=False) == full.to_json(include_timing=False)
+        assert "backend" not in json.loads(merged_path.read_text())
 
     def test_merge_canonical_writes_timing_free_artifact(self, tmp_path):
         import json

@@ -30,7 +30,6 @@ import inspect
 import numpy as np
 import pytest
 
-from repro import backends
 from repro.envelope.metrics import envelope_statistics
 from repro.graph.components import connected_components
 from repro.orderings.registry import ORDERING_ALGORITHMS
@@ -178,27 +177,3 @@ def test_ordering_differential_sweep(algorithm):
                 f"{algorithm} pattern #{seed}: metric {name} is "
                 f"{stats[name]!r}, brute force says {value!r}"
             )
-
-
-@pytest.mark.parametrize(
-    "backend", [b for b in backends.available_backends() if b != "numpy"]
-)
-@pytest.mark.parametrize("algorithm", sorted(ORDERING_ALGORITHMS))
-def test_backend_tiers_match_numpy_across_sweep(algorithm, backend):
-    """Every non-default backend tier (loop ``python``, compiled ``numba``
-    when installed) produces the numpy tier's ordering bit for bit over the
-    same corpus the reference sweep uses.  An explicit tier request bypasses
-    the auto size threshold, so the dispatched kernels really run even on
-    these tiny patterns."""
-    func = ORDERING_ALGORITHMS[algorithm]
-    for seed, pattern in enumerate(PATTERNS):
-        base = _call_with_seed(func, pattern, seed)
-        backends.set_backend(backend)
-        try:
-            tiered = _call_with_seed(func, pattern, seed)
-        finally:
-            backends.set_backend(None)
-        assert np.array_equal(base.perm, tiered.perm), (
-            f"{algorithm} under backend {backend!r} diverged from the numpy "
-            f"tier on pattern #{seed} (n={pattern.n})"
-        )
