@@ -173,6 +173,22 @@ class TestCostModel:
         task = BatchTask(problem="RANDOM/BA", algorithm="gk", scale=0.01)
         assert auto_timeout(rcm_only)(task) == auto_timeout(CostModel())(task)
 
+    def test_auto_timeout_scales_with_each_algorithms_own_rate(self):
+        """Two calibrated algorithms bound the same unseen RANDOM/* problem
+        in proportion to their own rates, each as a one-algorithm model
+        would."""
+        model = CostModel()
+        model.observe("RANDOM/WS", "rcm", 0.01, 0.5, n=10_000, nnz=70_000)
+        model.observe("RANDOM/WS", "gk", 0.01, 2.0, n=10_000, nnz=70_000)
+        gk_only = CostModel()
+        gk_only.observe("RANDOM/WS", "gk", 0.01, 2.0, n=10_000, nnz=70_000)
+        rcm_task = BatchTask(problem="RANDOM/BA", algorithm="rcm", scale=0.01)
+        gk_task = BatchTask(problem="RANDOM/BA", algorithm="gk", scale=0.01)
+        limit = auto_timeout(model)
+        assert limit(rcm_task) > 1.0  # both above the floor
+        assert limit(gk_task) == pytest.approx(4.0 * limit(rcm_task))
+        assert limit(gk_task) == auto_timeout(gk_only)(gk_task)
+
     def test_size_rescales_across_scales_quadratically(self):
         model = CostModel()
         model.observe("POW9", "rcm", 0.1, 1.0, n=100, nnz=300)

@@ -153,6 +153,24 @@ def _with_backend_keys(artifact):
     return artifact
 
 
+def test_machine_info_records_no_backend_keys():
+    from repro.bench import machine_info
+
+    info = machine_info()
+    assert {"numpy", "scipy", "python"} <= set(info)
+    assert not {"backend", "numba", "numba_available", "llvmlite"} & set(info)
+
+
+def test_diff_of_parent_era_backend_artifacts_gates_as_usual():
+    baseline = _with_backend_keys(_artifact_with([{"name": "k", "best_s": 1.0}]))
+    current = _artifact_with([{"name": "k", "best_s": 2.0}])
+    current["config"]["backend"] = "numba"
+    diff = diff_bench(baseline, current)
+    assert "backends" not in diff
+    assert diff["regressions"] == ["k"]
+    assert "NOTE" not in format_diff(diff)
+
+
 # --------------------------------------------------------------------- #
 # trend across artifacts
 # --------------------------------------------------------------------- #

@@ -32,6 +32,32 @@ class TestParser:
             build_parser().parse_args(["reorder", "x.mtx", "--algorithm", "amd"])
 
 
+class TestNoKernelBackendSwitch:
+    """The kernels have a single (numpy) implementation: there is no flag
+    to pick another, and the old environment variables change nothing."""
+
+    @pytest.mark.parametrize("command", [["suite", "POW9"], ["bench"], ["serve"]])
+    def test_backend_flag_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(command + ["--backend", "numpy"])
+        assert excinfo.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
+    def test_backend_env_vars_ignored(self, tmp_path, monkeypatch, capsys):
+        args = ["suite", "POW9", "--scale", "0.05", "--algorithms", "rcm,sloan"]
+        assert main(args + ["--output", str(tmp_path / "plain.json")]) == 0
+        monkeypatch.setenv("REPRO_BACKEND", "numba")
+        monkeypatch.setenv("REPRO_BACKEND_THRESHOLD", "soon")
+        assert main(args + ["--output", str(tmp_path / "env.json")]) == 0
+        assert "backend" not in capsys.readouterr().err
+        from repro.batch.results import SuiteResult
+
+        plain = SuiteResult.load(tmp_path / "plain.json")
+        env = SuiteResult.load(tmp_path / "env.json")
+        assert "backend" not in env.to_dict(include_timing=True)
+        assert env.to_json(include_timing=False) == plain.to_json(include_timing=False)
+
+
 class TestReorderCommand:
     def test_reorder_file_and_write_outputs(self, matrix_file, tmp_path, capsys):
         perm_path = tmp_path / "perm.txt"

@@ -78,6 +78,17 @@ class TestLanczosSmallestNontrivial:
         assert a.eigenvalue == b.eigenvalue
         np.testing.assert_allclose(a.eigenvector, b.eigenvector)
 
+    def test_sparse_and_operator_inputs_agree_bitwise(self, grid_8x6):
+        # A CSR Laplacian runs ``op @ v``; an operator runs its own matvec.
+        # Both are scipy's CSR product, so the recurrence is identical.
+        import scipy.sparse.linalg as spla
+
+        lap = laplacian_matrix(grid_8x6).tocsr()
+        a = lanczos_smallest_nontrivial(lap, rng=5)
+        b = lanczos_smallest_nontrivial(spla.aslinearoperator(lap), rng=5)
+        assert a.eigenvalue == b.eigenvalue
+        assert np.array_equal(a.eigenvector, b.eigenvector)
+
     def test_dense_input_accepted(self, path10):
         lap = laplacian_matrix(path10).toarray()
         result = lanczos_smallest_nontrivial(lap, tol=1e-10)

@@ -6,7 +6,8 @@ to the vertex-at-a-time implementations retained in :mod:`repro.reference`.
 These property tests enforce the promise two ways:
 
 * kernel by kernel, on a corpus of random graphs (connected, disconnected,
-  edgeless, path/star shapes);
+  edgeless, path/star shapes) plus 2-D meshes, a pendant-heavy chain and a
+  disconnected graph with isolated vertices;
 * end to end: every registered ordering algorithm is run once normally and
   once with the reference kernels monkeypatched in, and the permutations must
   match exactly — including on disconnected patterns.
@@ -28,6 +29,7 @@ import repro.orderings.gps
 import repro.orderings.king
 import repro.orderings.sloan
 from repro import reference
+from repro.collections.meshes import grid2d_pattern
 from repro.graph.coarsen import _grow_domains, maximal_independent_set
 from repro.graph.components import connected_components
 from repro.graph.traversal import bfs_order, breadth_first_levels
@@ -47,7 +49,9 @@ def random_pattern(rng: np.random.Generator, n: int, density: float) -> Symmetri
 
 def corpus() -> list[SymmetricPattern]:
     """A deterministic mix of shapes: sparse/dense random graphs (many of
-    them disconnected), an edgeless pattern, a path, and a star."""
+    them disconnected), an edgeless pattern, a path, a star, two meshes
+    (wide, many-tied level sets), a pendant-heavy chain and a disconnected
+    graph with isolated vertices."""
     rng = np.random.default_rng(20260729)
     patterns = [
         random_pattern(rng, int(rng.integers(2, 60)), float(rng.uniform(0.0, 3.5)))
@@ -57,6 +61,16 @@ def corpus() -> list[SymmetricPattern]:
     n = 31
     patterns.append(SymmetricPattern.from_edges(n, [(i, i + 1) for i in range(n - 1)]))
     patterns.append(SymmetricPattern.from_edges(n, [(0, i) for i in range(1, n)]))
+    patterns += [grid2d_pattern(9, 7), grid2d_pattern(4, 25)]
+    # pendant-heavy: a 10-vertex chain with 14 leaves hung off random links
+    edges = [(i, i + 1) for i in range(9)]
+    edges += [(int(rng.integers(0, 10)), v) for v in range(10, 24)]
+    patterns.append(SymmetricPattern.from_edges(24, edges))
+    # edges among the first 12 of 20 vertices; the rest stay isolated
+    pairs = rng.integers(0, 12, size=(14, 2))
+    patterns.append(
+        SymmetricPattern.from_edges(20, [(int(a), int(b)) for a, b in pairs if a != b])
+    )
     return patterns
 
 
