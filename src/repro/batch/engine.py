@@ -41,6 +41,7 @@ import math
 import multiprocessing
 import multiprocessing.connection
 import os
+import threading
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -56,6 +57,7 @@ from repro.batch.tasks import BatchTask, build_tasks, derive_seed, shard_tasks
 from repro.collections.registry import load_problem
 from repro.envelope.metrics import envelope_statistics
 from repro.orderings.registry import ORDERING_ALGORITHMS, PAPER_ALGORITHMS
+from repro.store.core import get_default_store
 from repro.utils.timing import Timer
 
 __all__ = [
@@ -72,6 +74,9 @@ __all__ = [
 # Injected-fault backoff sleeps go through this indirection so tests can
 # observe the schedule without actually waiting.
 _sleep = time.sleep
+
+# Serve finishes cells on several threads at once.
+_store_delta_lock = threading.Lock()
 
 
 def _fault_key(task: BatchTask) -> str:
@@ -102,8 +107,6 @@ def _cached_pattern(problem: str, scale: float | None):
     the cross-process extension of this cache that lets every suite worker,
     bench repeat and ``repro cache prewarm`` share one build.
     """
-    from repro.store.core import get_default_store
-
     store = get_default_store()
     if store is not None:
         from repro.store import spectral as codecs
@@ -236,39 +239,104 @@ def _is_crash(record: TaskRecord) -> bool:
             and (record.error or {}).get("type") == "WorkerCrashed")
 
 
-def _timeout_worker(task: BatchTask, connection) -> None:
-    """Child-process entry point of the timeout pool: run one task, pipe the
-    record back.  ``execute_task`` already captures ordinary exceptions."""
-    try:
-        connection.send(execute_task(task))
-    finally:
-        connection.close()
+def _absorb_store_delta(delta) -> None:
+    """Add one worker cell's store traffic to this process's store counters."""
+    store = get_default_store()
+    if delta and store is not None:
+        with _store_delta_lock:
+            for name, count in delta.items():
+                store.stats[name] = store.stats.get(name, 0) + count
+
+
+def _run_cell(task: BatchTask, pattern=None, delay_s: float = 0.0):
+    """Worker body of every out-of-process cell: ``(record, store_delta)``.
+
+    ``store_delta`` is the default store's traffic during this cell alone
+    (``None`` without a store): a forked worker starts with a copy of its
+    parent's counters, and a pool worker runs many cells.  ``delay_s``
+    sleeps first (serve's load-testing knob).
+    """
+    store = get_default_store()
+    before = None if store is None else dict(store.stats)
+    if delay_s:
+        time.sleep(delay_s)
+    record = execute_task(task, pattern=pattern)
+    if store is None:
+        return record, None
+    return record, {name: count - before.get(name, 0)
+                    for name, count in store.stats.items()}
+
+
+class CellProcess:
+    """One cell in its own killable worker process (suite and serve alike).
+
+    The child pipes :func:`_run_cell`'s result back one way.  The parent
+    waits until :attr:`connection` is ready (a result, or EOF when the
+    child died) or the cell's deadline passes, then calls :meth:`finish`.
+    """
+
+    def __init__(self, task: BatchTask, pattern=None, delay_s: float = 0.0):
+        context = multiprocessing.get_context()
+        self.task = task
+        self.connection, sender = context.Pipe(duplex=False)
+        self._process = context.Process(
+            target=CellProcess._child, args=(sender, task, pattern, delay_s),
+            daemon=True,
+        )
+        self._process.start()
+        self.pid = self._process.pid
+        sender.close()
+
+    @staticmethod
+    def _child(sender, task, pattern, delay_s) -> None:
+        try:
+            sender.send(_run_cell(task, pattern, delay_s))
+        finally:
+            sender.close()
+
+    def finish(self, limit) -> TaskRecord:
+        """The cell's record; joins the worker.  A ready result is the
+        record (its store traffic joins this process's counters), an EOF a
+        ``WorkerCrashed`` one; with nothing to read ``limit`` has expired,
+        so the worker is terminated and a ``"timeout"`` record returned."""
+        try:
+            if self.connection.poll():
+                record, delta = self.connection.recv()
+                _absorb_store_delta(delta)
+            else:
+                self._process.terminate()
+                record = timeout_record(self.task, limit)
+        except (EOFError, OSError) as exc:
+            record = crash_record(self.task, type(exc).__name__)
+        finally:
+            self.connection.close()
+            self._process.join()
+        return record
+
+    def kill(self) -> None:
+        """Terminate and reap the worker of an abandoned cell."""
+        self._process.terminate()
+        self.connection.close()
+        self._process.join()
 
 
 def _iter_with_timeout(tasks, n_jobs: int, timeout_for):
     """Yield ``(task, record)`` as tasks finish, terminating overrunners.
 
-    Each task gets its own worker process (started with the platform-default
-    multiprocessing context) so an overrunning task can be killed without
-    poisoning a shared pool: on deadline the process is terminated and a
-    ``"timeout"`` record yielded, while up to ``n_jobs`` other workers keep
-    running undisturbed.  ``timeout_for(task)`` supplies the per-task limit;
-    ``None`` means that task has no deadline (the ``--timeout auto`` path for
-    cells the cost model has never observed).
+    Each task gets its own :class:`CellProcess`, so an overrunning task can
+    be killed without poisoning a shared pool: on deadline the process is
+    terminated and a ``"timeout"`` record yielded, while up to ``n_jobs``
+    other workers keep running undisturbed.  ``timeout_for(task)`` supplies
+    the per-task limit; ``None`` means that task has no deadline (the
+    ``--timeout auto`` path for cells the cost model has never observed,
+    crash retries and broken-pool survivors).
     """
-    context = multiprocessing.get_context()
     pending = list(tasks)[::-1]
-    running: dict = {}  # receive-end connection -> (task, process, deadline, limit)
+    running: dict = {}  # connection -> (cell, deadline, limit)
     try:
         while pending or running:
             while pending and len(running) < n_jobs:
                 task = pending.pop()
-                receiver, sender = context.Pipe(duplex=False)
-                process = context.Process(
-                    target=_timeout_worker, args=(task, sender), daemon=True
-                )
-                process.start()
-                sender.close()
                 limit = timeout_for(task)
                 if limit is not None and limit <= 0:
                     raise ValueError(
@@ -276,75 +344,57 @@ def _iter_with_timeout(tasks, n_jobs: int, timeout_for):
                         f"{task.problem}/{task.algorithm}; per-task limits "
                         f"must be positive (or None for no limit)"
                     )
+                cell = CellProcess(task)
                 deadline = math.inf if limit is None else time.monotonic() + limit
-                running[receiver] = (task, process, deadline, limit)
+                running[cell.connection] = (cell, deadline, limit)
 
-            nearest = min(deadline for (_, _, deadline, _) in running.values())
+            nearest = min(deadline for (_, deadline, _) in running.values())
             wait_s = None if math.isinf(nearest) else max(0.0, nearest - time.monotonic())
             ready = multiprocessing.connection.wait(list(running), timeout=wait_s)
             now = time.monotonic()
-            for receiver in list(running):
-                task, process, deadline, limit = running[receiver]
-                if receiver in ready:
-                    try:
-                        record = receiver.recv()
-                    except (EOFError, OSError) as exc:
-                        record = crash_record(task, f"{type(exc).__name__}")
-                elif now >= deadline:
-                    process.terminate()
-                    record = timeout_record(task, limit)
-                else:
-                    continue
-                del running[receiver]
-                receiver.close()
-                process.join()
-                yield task, record
+            for connection, (cell, deadline, limit) in list(running.items()):
+                if connection in ready or now >= deadline:
+                    del running[connection]
+                    yield cell.task, cell.finish(limit)
     finally:
-        for task, process, _deadline, _limit in running.values():
-            process.terminate()
-            process.join()
+        for cell, _deadline, _limit in running.values():
+            cell.kill()
 
 
 def _iter_pool(tasks, n_jobs: int):
     """Yield ``(task, record)`` in completion order from a shared process pool.
 
     A worker that dies mid-task (SIGKILL, OOM, injected crash) breaks the
-    whole executor — every pending future raises ``BrokenProcessPool`` at
-    once.  Each such task is captured as a ``"WorkerCrashed"`` record rather
-    than killing the suite; tasks the broken pool never started are re-run
-    through a fresh pool so one crash costs one cell, not the batch.
+    whole executor, and every unfinished future raises the same
+    ``BrokenProcessPool``.  Each such survivor re-runs in its own
+    :class:`CellProcess`: execution is deterministic, so the genuine crasher
+    crashes again as a ``"WorkerCrashed"`` record and collateral tasks
+    complete normally.  One crash costs one cell, never the batch.
     """
     tasks = list(tasks)
-    broke = False
+    survivors = []
     with ProcessPoolExecutor(max_workers=min(n_jobs, len(tasks))) as pool:
-        futures = {pool.submit(execute_task, task): task for task in tasks}
-        pending = {id(task): task for task in tasks}
+        futures = {pool.submit(_run_cell, task): task for task in tasks}
         for future in as_completed(futures):
-            task = futures[future]
             try:
-                record = future.result()
+                record, delta = future.result()
             except Exception:
-                # The pool is poisoned; which worker actually died is
-                # resolved below, not from completion-order timing.
-                broke = True
+                survivors.append(futures[future])
                 continue
-            pending.pop(id(task), None)
-            yield task, record
-    if not broke:
-        return
-    # A broken pool cannot say *which* task killed its worker — every
-    # unfinished future raises the same BrokenProcessPool.  Re-run each
-    # survivor in an isolated single-worker pool: execution is deterministic
-    # (seeds and fault draws are pure functions of the task), so the genuine
-    # crasher crashes again — unambiguously attributed — and collateral
-    # tasks complete normally.  One crash costs one cell, never the batch.
-    for task in pending.values():
-        with ProcessPoolExecutor(max_workers=1) as solo:
-            try:
-                record = solo.submit(execute_task, task).result()
-            except Exception as exc:
-                record = crash_record(task, type(exc).__name__)
-        yield task, record
+            _absorb_store_delta(delta)
+            yield futures[future], record
+    yield from _iter_with_timeout(survivors, n_jobs, _timeout_policy(None))
+
+
+def _timeout_policy(timeout):
+    """``timeout`` (seconds, a ``task -> seconds | None`` callable, or
+    ``None``) as a per-task limit callable."""
+    if callable(timeout):
+        return timeout
+    if timeout is not None and timeout <= 0:
+        raise ValueError(f"timeout must be positive, got {timeout}")
+    limit = None if timeout is None else float(timeout)
+    return lambda _task: limit
 
 
 def iter_suite(tasks, *, n_jobs: int = 1, timeout: float | None = None):
@@ -373,17 +423,8 @@ def iter_suite(tasks, *, n_jobs: int = 1, timeout: float | None = None):
     """
     tasks = list(tasks)
     if timeout is not None:
-        if callable(timeout):
-            timeout_fn = timeout
-        else:
-            if timeout <= 0:
-                raise ValueError(f"timeout must be positive, got {timeout}")
-            limit = float(timeout)
-
-            def timeout_fn(_task, _limit=limit):
-                return _limit
-
-        yield from _iter_with_timeout(tasks, max(int(n_jobs), 1), timeout_fn)
+        yield from _iter_with_timeout(tasks, max(int(n_jobs), 1),
+                                      _timeout_policy(timeout))
     elif n_jobs == 1 or len(tasks) <= 1:
         for task in tasks:
             yield task, execute_task(task)
@@ -526,6 +567,7 @@ def run_suite(
     crash_backoff_s = float(crash_backoff_s)
     if crash_backoff_s < 0:
         raise ValueError(f"crash_backoff_s must be >= 0, got {crash_backoff_s}")
+    policy = _timeout_policy(timeout)
 
     problems = [str(name).strip().upper() for name in problem_names]
     algorithms = tuple(algorithms)
@@ -608,14 +650,11 @@ def run_suite(
                 # Grow the limit only on rounds that actually retry a
                 # timeout, preserving the pre-existing escalation schedule.
                 growth *= timeout_growth
-            if timeout is None:
-                attempt_timeout = None
-            elif callable(timeout):
-                def attempt_timeout(task, _base=timeout, _growth=growth):
-                    base_limit = _base(task)
-                    return None if base_limit is None else base_limit * _growth
-            else:
-                attempt_timeout = float(timeout) * growth
+
+            def attempt_limit(task, _growth=growth):
+                base_limit = policy(task)
+                return None if base_limit is None else base_limit * _growth
+
             if crash_slots:
                 delay = backoff * (1.0 + 0.5 * float(jitter_rng.random()))
                 if delay > 0:
@@ -626,17 +665,12 @@ def run_suite(
                            for slot in slots.values()]
             if cost_model is not None:
                 retry_tasks = order_longest_first(retry_tasks, cost_model)
-            if crash_slots and attempt_timeout is None:
-                # A cell that just killed its worker must never re-run inside
-                # the orchestrator process — a repeat crash (segfault, OOM,
-                # injected fault) would take the whole suite down instead of
-                # producing another superseding record.  Force the pool even
-                # for a single retry task; the timeout path already isolates.
-                retry_iter = _iter_pool(retry_tasks, max(int(n_jobs), 1))
-            else:
-                retry_iter = iter_suite(retry_tasks, n_jobs=n_jobs,
-                                        timeout=attempt_timeout)
-            for task, record in retry_iter:
+            # Retries always run in killable workers, even without a
+            # timeout: a cell that just killed its worker must never re-run
+            # inside the orchestrator, where a repeat crash would take the
+            # whole suite down instead of producing a superseding record.
+            for task, record in _iter_with_timeout(retry_tasks, n_jobs,
+                                                   attempt_limit):
                 pairs[slots[task.index]] = (task, record)
                 if on_record is not None:
                     on_record(record, done, total)

@@ -304,7 +304,7 @@ def _activate_store(store_arg):
 
 
 def _store_stats_line(store) -> str:
-    """One summary line of this process's store traffic (CI greps it)."""
+    """One summary line of the store traffic, worker cells included (CI greps it)."""
     stats = store.stats
     line = (f"store {store.root}: {stats['hits']} hit(s), "
             f"{stats['misses']} miss(es), {stats['writes']} write(s), "
@@ -563,8 +563,6 @@ def _cmd_suite(args) -> int:
         summary += f"; {len(completed)} reused from {resume_path}"
     print(summary)
     if store is not None:
-        # Per-process counters: with --jobs > 1 the workers' hits/writes
-        # accrue in the worker processes, not here.
         print(_store_stats_line(store))
     if args.output:
         suite.save(args.output)
@@ -878,7 +876,6 @@ def _cmd_serve(args) -> int:
             workers=args.workers,
             max_queue=args.queue_depth,
             timeout=args.timeout,
-            worker_mode=args.worker_mode,
             journal=args.journal,
             retry_after_s=args.retry_after,
             read_timeout_s=args.read_timeout,
@@ -911,8 +908,8 @@ async def _serve_main(config) -> None:
     # The listening line is the boot handshake: tests and scripts that
     # start the server with --port 0 parse the real port out of it.
     print(f"repro serve: listening on http://{config.host}:{server.port} "
-          f"(workers={config.workers}, queue-depth={config.max_queue}, "
-          f"mode={config.worker_mode})", flush=True)
+          f"(workers={config.workers}, queue-depth={config.max_queue})",
+          flush=True)
     if config.journal:
         print(f"repro serve: job journal at {config.journal} "
               f"({server.replayed_jobs} finished job(s) replayed, "
@@ -1544,10 +1541,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="admission limit; beyond it requests shed with 429")
     serve_parser.add_argument("--timeout", type=float, default=None,
                               help="per-task wall-clock cap in seconds")
-    serve_parser.add_argument("--worker-mode", default="subprocess",
-                              choices=["subprocess", "inline"],
-                              help="subprocess = killable isolation (default); "
-                                   "inline = warm in-process threads")
     serve_parser.add_argument("--journal", default=None, metavar="PATH.jsonl",
                               help="append finished jobs to this crash-tolerant JSONL journal")
     serve_parser.add_argument("--store", default=None, metavar="DIR",

@@ -63,7 +63,6 @@ class ServeConfig:
     workers: int = 2
     max_queue: int = 8
     timeout: float | None = None
-    worker_mode: str = "subprocess"
     journal: str | None = None
     max_body_bytes: int = DEFAULT_MAX_BODY_BYTES
     max_inline_n: int = DEFAULT_MAX_INLINE_N
@@ -89,7 +88,6 @@ class OrderingServer:
             workers=self.config.workers,
             max_queue=self.config.max_queue,
             timeout=self.config.timeout,
-            mode=self.config.worker_mode,
         )
         self.jobs = JobRegistry(capacity=self.config.job_capacity)
         self.breakers = BreakerBoard(
@@ -469,13 +467,6 @@ class OrderingServer:
         from repro.store.core import get_default_store
 
         store = get_default_store()
-        store_stats = None
-        if store is not None or any(self.pool.store_stats.values()):
-            merged = dict(self.pool.store_stats)
-            if store is not None:
-                for name in merged:
-                    merged[name] += int(store.stats.get(name, 0))
-            store_stats = {"root": str(store.root) if store else None, **merged}
         return {
             "engine": "repro.serve",
             "uptime_s": round(time.monotonic() - self._started_monotonic, 3),
@@ -502,7 +493,8 @@ class OrderingServer:
                      "journal_skipped": self.replay_skipped,
                      "journaled": self.counters["journaled"],
                      "journal_write_errors": self.counters["journal_write_errors"]},
-            "store": store_stats,
+            "store": None if store is None else {"root": str(store.root),
+                                                 **store.stats},
         }
 
 

@@ -1,7 +1,7 @@
 """Bounded worker pool behind the ordering server.
 
 One :class:`WorkerPool` executes the cells the HTTP layer admits, reusing
-the batch engine's single-cell core (:func:`repro.batch.engine.execute_task`
+the batch engine's single-cell runner (:class:`repro.batch.engine.CellProcess`
 and its structured ``timeout``/``crash`` records) under an asyncio-friendly
 concurrency cap:
 
@@ -9,20 +9,15 @@ concurrency cap:
 * at most ``max_queue`` admitted cells may *wait* for a slot — admission
   beyond that raises :class:`PoolSaturated`, which the server answers with
   ``429 Retry-After`` (bounded queue = bounded memory = bounded latency);
-* in the default ``subprocess`` mode each cell runs in its own worker
-  process, so a cell that overruns its deadline is **terminated** (a
-  ``"timeout"`` record, exactly as ``repro suite --timeout`` produces) and
-  a worker that dies mid-cell (OOM kill, SIGKILL) surfaces as a structured
-  ``WorkerCrashed`` error record rather than a hang — the server maps those
-  to 504/500;
-* ``inline`` mode runs cells on threads inside the server process instead:
-  no kill capability, but the per-worker problem cache and memoized
-  ``SpectralWorkspace`` stay warm across requests in one process.  With a
-  persistent ``--store`` both modes serve warm requests from disk.
+* each cell runs in its own worker process, so a cell that overruns its
+  deadline is **terminated** (a ``"timeout"`` record, exactly as
+  ``repro suite --timeout`` produces) and a worker that dies mid-cell (OOM
+  kill, SIGKILL) surfaces as a structured ``WorkerCrashed`` error record
+  rather than a hang — the server maps those to 504/500.
 
-Subprocess workers report their artifact-store traffic back through the
-result pipe; the pool aggregates it so ``/statsz`` can show cache
-hits/misses even though they accrue in short-lived children.
+The engine adds each worker's artifact-store traffic to this process's
+store counters, so ``/statsz`` shows hits/misses that accrue in
+short-lived children.
 """
 
 from __future__ import annotations
@@ -30,11 +25,9 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import itertools
-import multiprocessing
-import time
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.batch.engine import crash_record, execute_task, timeout_record
+from repro.batch.engine import CellProcess
 
 __all__ = ["PoolSaturated", "WorkerPool"]
 
@@ -50,48 +43,23 @@ class PoolSaturated(Exception):
         self.max_queue = int(max_queue)
 
 
-def _cell_worker(task, pattern, delay_s, connection) -> None:
-    """Child-process entry point: run one cell, pipe back (record, store stats).
-
-    ``execute_task`` already captures algorithm exceptions as error records;
-    ``delay_s`` is the load-testing knob (sleep before computing, so tests
-    can hold a worker busy deterministically).
-    """
-    try:
-        if delay_s:
-            time.sleep(delay_s)
-        record = execute_task(task, pattern=pattern)
-        from repro.store.core import get_default_store
-
-        store = get_default_store()
-        stats = dict(store.stats) if store is not None else None
-        connection.send((record, stats))
-    finally:
-        connection.close()
-
-
 class WorkerPool:
     """Bounded, observable executor of single ordering cells."""
 
     def __init__(self, *, workers: int = 2, max_queue: int = 16,
-                 timeout: float | None = None, mode: str = "subprocess"):
+                 timeout: float | None = None):
         if workers < 1:
             raise ValueError(f"workers must be positive, got {workers}")
         if max_queue < 0:
             raise ValueError(f"max_queue must be >= 0, got {max_queue}")
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be positive, got {timeout}")
-        if mode not in ("subprocess", "inline"):
-            raise ValueError(f"mode must be 'subprocess' or 'inline', got {mode!r}")
         self.workers = int(workers)
         self.max_queue = int(max_queue)
         self.timeout = None if timeout is None else float(timeout)
-        self.mode = mode
         self.queued = 0
         self.busy = 0
         self.completed = {"ok": 0, "error": 0, "timeout": 0, "crashed": 0}
-        self.store_stats = {"hits": 0, "misses": 0, "writes": 0, "corrupt": 0,
-                            "quarantined": 0}
         self.active_pids: dict[int, int] = {}
         self._tokens = itertools.count(1)
         self._semaphore = asyncio.Semaphore(self.workers)
@@ -150,47 +118,22 @@ class WorkerPool:
             self._semaphore.release()
 
     def _run_blocking(self, task, pattern, limit, delay_s):
-        if self.mode == "inline":
-            if delay_s:
-                time.sleep(delay_s)
-            record = execute_task(task, pattern=pattern)
-        else:
-            record = self._run_subprocess(task, pattern, limit, delay_s)
-        self._tally(record)
-        return record
-
-    def _run_subprocess(self, task, pattern, limit, delay_s):
-        context = multiprocessing.get_context()
-        receiver, sender = context.Pipe(duplex=False)
         token = next(self._tokens)
         # Stamp the computation ordinal onto the task so deterministic
         # fault-injection draws (repro.faults) vary across repeated
         # computations of the same cell — a crashed-then-retried request
         # must be able to draw differently the second time.
-        task = dataclasses.replace(task, attempt=token)
-        process = context.Process(
-            target=_cell_worker, args=(task, pattern, delay_s, sender), daemon=True
-        )
-        process.start()
-        sender.close()
-        self.active_pids[token] = process.pid
+        cell = CellProcess(dataclasses.replace(task, attempt=token), pattern, delay_s)
+        self.active_pids[token] = cell.pid
         try:
-            deadline = None if limit is None else limit + float(delay_s)
-            if receiver.poll(deadline):
-                try:
-                    record, stats = receiver.recv()
-                    if stats:
-                        for name in self.store_stats:
-                            self.store_stats[name] += int(stats.get(name, 0))
-                except (EOFError, OSError) as exc:
-                    record = crash_record(task, type(exc).__name__)
-            else:
-                process.terminate()
-                record = timeout_record(task, limit)
+            cell.connection.poll(None if limit is None else limit + float(delay_s))
+            record = cell.finish(limit)
+        except BaseException:
+            cell.kill()
+            raise
         finally:
             self.active_pids.pop(token, None)
-            receiver.close()
-            process.join()
+        self._tally(record)
         return record
 
     def _tally(self, record) -> None:
@@ -209,7 +152,6 @@ class WorkerPool:
     def stats(self) -> dict:
         """The ``/statsz`` view of the pool."""
         return {
-            "mode": self.mode,
             "workers": self.workers,
             "busy": self.busy,
             "queue_depth": self.queued,

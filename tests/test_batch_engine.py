@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.batch.engine import execute_task, run_suite
+from repro.batch.engine import execute_task, iter_suite, run_suite
 from repro.batch.tasks import BatchTask, build_tasks, derive_seed
 from repro.orderings.registry import ORDERING_ALGORITHMS, PAPER_ALGORITHMS
 
@@ -164,8 +164,70 @@ class TestRunSuite:
         assert serial.to_json(include_timing=False) == parallel.to_json(include_timing=False)
 
 
+class TestWorkerStoreTraffic:
+    def test_concurrent_deltas_are_all_counted(self, tmp_path):
+        """Serve finishes cells on several threads; no delta may be lost."""
+        import sys
+        import threading
+
+        from repro.batch.engine import _absorb_store_delta
+        from repro.store import ArtifactStore, reset_default_store, set_default_store
+
+        store = ArtifactStore(tmp_path)
+        set_default_store(store)
+
+        def absorb():
+            for _ in range(5000):
+                _absorb_store_delta({"hits": 1, "writes": 2})
+
+        threads = [threading.Thread(target=absorb) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            reset_default_store()
+        assert not any(thread.is_alive() for thread in threads)
+        assert (store.stats["hits"], store.stats["writes"]) == (40000, 80000)
+
+
 class TestPerTaskTimeouts:
     """Callable (per-cell) timeouts — the --timeout auto machinery."""
+
+    def test_nonpositive_limit_leaves_no_worker(self, monkeypatch):
+        """The policy is checked before a worker is spawned for the cell."""
+        import multiprocessing
+        import time
+
+        monkeypatch.setitem(ORDERING_ALGORITHMS, "sleepy",
+                            lambda p: time.sleep(30))
+        before = set(multiprocessing.active_children())
+        with pytest.raises(ValueError, match="must be positive"):
+            run_suite(["POW9"], ("sleepy",), scale=0.02,
+                      timeout=lambda task: 0.0)
+        assert not set(multiprocessing.active_children()) - before
+
+    def test_closing_the_stream_early_kills_live_workers(self, monkeypatch):
+        import multiprocessing
+        import time
+
+        monkeypatch.setitem(ORDERING_ALGORITHMS, "sleepy",
+                            lambda p: time.sleep(30))
+        before = set(multiprocessing.active_children())
+        tasks = build_tasks(["POW9"], ("rcm", "sleepy"), scale=0.02)
+        stream = iter_suite(tasks, n_jobs=2, timeout=60)
+        _task, record = next(stream)
+        assert (record.algorithm, record.status) == ("rcm", "ok")
+        stream.close()
+        deadline = time.monotonic() + 5
+        while (set(multiprocessing.active_children()) - before
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        assert not set(multiprocessing.active_children()) - before
 
     def test_callable_timeout_limits_only_selected_cells(self, monkeypatch):
         import time
