@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.analysis.runner import run_problem_suite
+from repro.batch import run_suite
 from repro.collections.registry import available_problems
 
 
@@ -30,13 +30,13 @@ def main(argv: list[str]) -> None:
         raise SystemExit(f"unknown problems: {unknown}; available: {available_problems()}")
 
     algorithms = ("spectral", "gk", "gps", "rcm", "sloan", "hybrid")
-    results = run_problem_suite(problems, algorithms=algorithms, scale=scale)
+    suite = run_suite(problems, algorithms=algorithms, scale=scale)
+    print(suite.to_text())
+    print()
 
     wins = {name: 0 for name in algorithms}
-    for result in results:
-        print(result.to_text())
-        print()
-        wins[result.winner] += 1
+    for winner in suite.winners().values():
+        wins[winner] += 1
 
     print("Envelope-size wins per algorithm (paper: spectral wins 14 of 18):")
     for name, count in sorted(wins.items(), key=lambda kv: -kv[1]):

@@ -25,7 +25,7 @@ import time
 
 import numpy as np
 
-from repro.analysis.runner import run_problem_suite
+from repro.batch import run_suite
 from repro.collections.registry import available_problems, default_scale, load_problem
 from repro.envelope.metrics import envelope_size
 from repro.factor.cholesky import envelope_cholesky
@@ -37,14 +37,11 @@ TABLE_44_PROBLEMS = ("BCSSTK29", "BCSSTK33", "BARTH4")
 def run_table(table: str, scale: float, jobs: int = 1) -> None:
     problems = available_problems(table)
     print(f"\n=== Table {table} (surrogates at scale {scale}, jobs={jobs}) ===")
-    results = run_problem_suite(problems, scale=scale, n_jobs=jobs)
-    spectral_wins = 0
-    for result in results:
-        print()
-        print(result.to_text())
-        if result.winner == "spectral":
-            spectral_wins += 1
-    print(f"\nSPECTRAL has the smallest envelope on {spectral_wins} of {len(results)} problems.")
+    suite = run_suite(problems, scale=scale, n_jobs=jobs)
+    print()
+    print(suite.to_text())
+    spectral_wins = list(suite.winners().values()).count("spectral")
+    print(f"\nSPECTRAL has the smallest envelope on {spectral_wins} of {len(problems)} problems.")
 
 
 def run_table_44(scale: float) -> None:

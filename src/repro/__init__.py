@@ -33,7 +33,7 @@ Quick start
 True
 """
 
-from repro.core.pipeline import EnvelopeReport, compare_orderings, reorder
+from repro.pipeline import EnvelopeReport, compare_orderings, reorder
 from repro.eigen.fiedler import FiedlerResult, fiedler_vector
 from repro.envelope.metrics import (
     EnvelopeStatistics,

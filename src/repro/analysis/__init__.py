@@ -1,4 +1,4 @@
-"""Reporting: text spy plots, comparison tables, and the experiment runner.
+"""Reporting: text spy plots, comparison tables and locality measures.
 
 * :mod:`repro.analysis.spy` — the Figure 4.1-4.5 equivalents: density grids
   and ASCII spy plots of a matrix structure under an ordering, plus numerical
@@ -6,13 +6,15 @@
   between the local (GPS/GK/RCM) and spectral reorderings;
 * :mod:`repro.analysis.report` — the Table 4.1-4.3 row format: one row per
   (matrix, algorithm) with envelope size, bandwidth, run time and rank;
-* :mod:`repro.analysis.runner` — the experiment driver used by the benchmark
-  harnesses and by ``examples/paper_tables.py``.
+* :mod:`repro.analysis.locality` — memory-locality and partition measures
+  of an ordering.
+
+The experiments themselves run through :mod:`repro.pipeline` (one matrix)
+and :mod:`repro.batch` (a whole problem suite).
 """
 
 from repro.analysis.spy import ascii_spy, density_grid, band_profile
-from repro.analysis.report import ComparisonRow, comparison_table, format_table, rank_by
-from repro.analysis.runner import ExperimentResult, run_comparison, run_problem_suite
+from repro.analysis.report import ComparisonRow, format_table, rank_by
 from repro.analysis.locality import (
     LocalityReport,
     average_nonzero_distance,
@@ -31,10 +33,6 @@ __all__ = [
     "cache_line_spans",
     "partition_communication_volume",
     "ComparisonRow",
-    "comparison_table",
     "format_table",
     "rank_by",
-    "ExperimentResult",
-    "run_comparison",
-    "run_problem_suite",
 ]

@@ -163,7 +163,7 @@ def execute_task(task: BatchTask, pattern=None, capture_errors: bool = True) -> 
     capture_errors:
         When true (the batch default) any exception becomes a structured
         ``"error"`` record; when false it propagates to the caller (the
-        behaviour of the legacy in-process runner).
+        path of :func:`repro.pipeline.compare_orderings`).
     """
     try:
         faults.worker_faults(_fault_key(task), point="start")

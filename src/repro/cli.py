@@ -131,7 +131,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.analysis.report import format_table
-from repro.analysis.runner import run_comparison
 from repro.batch import (
     CostModel,
     SchemaVersionError,
@@ -157,14 +156,31 @@ from repro.collections.registry import (
     load_problem,
     resolve_problems,
 )
-from repro.core.pipeline import reorder
 from repro.eigen.fiedler import FIEDLER_METHODS, fiedler_vector
 from repro.orderings.registry import ORDERING_ALGORITHMS, PAPER_ALGORITHMS
+from repro.pipeline import compare_orderings, reorder
 from repro.sparse.io_hb import read_harwell_boeing, write_harwell_boeing
 from repro.sparse.io_mm import read_matrix_market, write_matrix_market
 from repro.sparse.ops import permute_symmetric, structure_from_matrix
 
 __all__ = ["main", "build_parser"]
+
+
+class _BadReferenceError(ValueError):
+    """A ``problem:NAME@SCALE`` whose SCALE is empty or not a number."""
+
+
+def _problem_reference(source: str):
+    """``(name, scale or None)`` of a ``problem:NAME[@SCALE]`` reference, or
+    ``None`` for a file path; a bad SCALE raises :class:`_BadReferenceError`."""
+    if not source.startswith("problem:"):
+        return None
+    name, at, scale_text = source[len("problem:"):].partition("@")
+    try:
+        return name, float(scale_text) if at else None
+    except ValueError:
+        raise _BadReferenceError(f"invalid scale {scale_text!r} in {source!r}: expected "
+                                 "problem:NAME[@SCALE] with a numeric SCALE") from None
 
 
 def _load_input(source: str):
@@ -173,14 +189,9 @@ def _load_input(source: str):
     Returns ``(pattern, matrix_or_none, label)``: the structure, the
     values-carrying matrix when one exists (file inputs), and a display label.
     """
-    if source.startswith("problem:"):
-        reference = source[len("problem:") :]
-        if "@" in reference:
-            name, scale_text = reference.split("@", 1)
-            scale = float(scale_text)
-        else:
-            name, scale = reference, None
-        pattern, spec = load_problem(name, scale=scale)
+    reference = _problem_reference(source)
+    if reference is not None:
+        pattern, spec = load_problem(*reference)
         return pattern, None, f"{spec.name} surrogate (n={pattern.n})"
     lower = source.lower()
     if lower.endswith((".mtx", ".mm", ".mtx.gz")):
@@ -232,9 +243,9 @@ def _cmd_compare(args) -> int:
         print(f"unknown algorithms: {unknown}; available: {sorted(ORDERING_ALGORITHMS)}",
               file=sys.stderr)
         return 2
-    result = run_comparison(pattern, algorithms=algorithms, problem=label)
-    print(format_table(result.rows, title=f"Ordering comparison — {label}"))
-    print(f"\nSmallest envelope: {result.winner.upper()}")
+    result = compare_orderings(pattern, algorithms=algorithms, problem=label)
+    print(format_table(result.to_rows(), title=f"Ordering comparison — {label}"))
+    print(f"\nSmallest envelope: {result.winners()[label].upper()}")
     return 0
 
 
@@ -950,14 +961,12 @@ def _order_request_payload(args) -> dict:
     }
     if args.timeout_s is not None:
         payload["timeout_s"] = args.timeout_s
-    if args.input.startswith("problem:"):
-        reference = args.input[len("problem:"):]
-        if "@" in reference:
-            name, scale_text = reference.split("@", 1)
-            payload["scale"] = float(scale_text)
-        else:
-            name = reference
+    reference = _problem_reference(args.input)
+    if reference is not None:
+        name, scale = reference
         payload["problem"] = name.strip().upper()
+        if scale is not None:
+            payload["scale"] = scale
     else:
         pattern, _matrix, _label = _load_input(args.input)
         payload["csr"] = {
@@ -1025,20 +1034,17 @@ def _cmd_order(args) -> int:
         from repro.serve import inline_label
         from repro.store.spectral import pattern_digest
 
-        scale = None
-        if args.input.startswith("problem:"):
-            reference = args.input[len("problem:"):]
-            name, _, scale_text = reference.partition("@")
-            scale = float(scale_text) if scale_text else None
-            label, pattern = name.strip().upper(), None
-            registered = True
+        reference = _problem_reference(args.input)
+        if reference is not None:
+            name, scale = reference
+            label, pattern, registered = name.strip().upper(), None, True
         else:
             try:
                 pattern, _matrix, _label = _load_input(args.input)
             except (OSError, ValueError) as exc:
                 print(f"cannot load {args.input}: {exc}", file=sys.stderr)
                 return 2
-            label, registered = inline_label(pattern_digest(pattern)), False
+            label, scale, registered = inline_label(pattern_digest(pattern)), None, False
         try:
             task = build_task(label, args.algorithm, scale=scale,
                               options=_algorithm_options(args),
@@ -1613,8 +1619,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UnknownProblemError as exc:
-        # Structured unknown-problem errors (with near-miss suggestions)
-        # exit 2 like every other usage error, never as a traceback.
+    except (UnknownProblemError, _BadReferenceError) as exc:
+        # Unknown problems (with near-miss suggestions) and bad problem:
+        # references exit 2 like every other usage error, never a traceback.
         print(exc, file=sys.stderr)
         return 2

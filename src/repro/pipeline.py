@@ -14,13 +14,18 @@ or, to reproduce a row block of the paper's tables for your own matrix::
     from repro import compare_orderings
     result = compare_orderings(matrix)
     print(result.to_text())
+
+:func:`compare_orderings` returns the batch engine's own
+:class:`repro.batch.SuiteResult`, the result type of ``repro suite`` too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.runner import ExperimentResult, run_comparison
+from repro.batch.engine import execute_task
+from repro.batch.results import SuiteResult
+from repro.batch.tasks import BatchTask, derive_seed
 from repro.envelope.metrics import EnvelopeStatistics, envelope_statistics
 from repro.orderings.base import Ordering
 from repro.orderings.registry import PAPER_ALGORITHMS, get_ordering_algorithm
@@ -69,6 +74,8 @@ class EnvelopeReport:
 def reorder(matrix, algorithm: str = "spectral", **options) -> EnvelopeReport:
     """Compute an envelope-reducing ordering of a symmetric matrix.
 
+    The algorithm is called directly: no derived seed is injected.
+
     Parameters
     ----------
     matrix:
@@ -104,17 +111,29 @@ def compare_orderings(
     matrix,
     algorithms: tuple = PAPER_ALGORITHMS,
     problem: str = "problem",
-    **algorithm_options,
-) -> ExperimentResult:
-    """Run several ordering algorithms on one matrix and rank them.
+    algorithm_options: dict | None = None,
+    base_seed: int = 0,
+) -> SuiteResult:
+    """Run several ordering algorithms on one matrix: one block of the
+    paper's Tables 4.1-4.3 for an arbitrary matrix.
 
-    This reproduces one problem block of the paper's Tables 4.1-4.3 for an
-    arbitrary user matrix.  See :func:`repro.analysis.runner.run_comparison`.
+    Each algorithm runs in-process as the batch engine's ``(problem,
+    algorithm)`` cell, seeded as ``repro suite`` seeds it, so on a registered
+    problem's pattern the records equal :func:`repro.batch.run_suite`'s in
+    canonical form.  ``algorithm_options`` maps an algorithm name to its
+    keyword arguments.  Returns a one-problem :class:`SuiteResult` with one
+    record per algorithm, in order.  An unknown algorithm raises
+    :class:`KeyError`; an algorithm's own exception propagates.
     """
     pattern = structure_from_matrix(matrix)
-    return run_comparison(
-        pattern,
-        algorithms=algorithms,
-        problem=problem,
-        algorithm_options=algorithm_options or None,
-    )
+    algorithm_options = algorithm_options or {}
+    records = []
+    timer = Timer()
+    with timer:
+        for index, name in enumerate(algorithms):
+            task = BatchTask(problem=problem, algorithm=name,
+                             seed=derive_seed(base_seed, problem, name),
+                             options=dict(algorithm_options.get(name, {})), index=index)
+            records.append(execute_task(task, pattern=pattern, capture_errors=False))
+    return SuiteResult(problems=[problem], algorithms=list(algorithms), base_seed=base_seed,
+                       records=records, wall_time_s=timer.elapsed)

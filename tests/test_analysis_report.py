@@ -1,14 +1,8 @@
 """Unit tests for the comparison-table reporting (repro.analysis.report)."""
 
-import numpy as np
-import pytest
-
-from repro.analysis.report import ComparisonRow, comparison_table, format_table, rank_by
-from repro.collections.meshes import grid2d_pattern
+from repro.analysis.report import ComparisonRow, format_table, rank_by, rows_from_records
 from repro.envelope.metrics import envelope_size
-from repro.orderings.cuthill_mckee import rcm_ordering
-from repro.orderings.gps import gps_ordering
-from repro.orderings.spectral import spectral_ordering
+from repro.pipeline import compare_orderings
 
 
 def _rows():
@@ -35,33 +29,26 @@ class TestRankBy:
         assert len(q_rows) == 1 and q_rows[0].rank == 1
 
 
-class TestComparisonTable:
-    def test_rows_match_metrics(self, grid_8x6):
-        orderings = {
-            "spectral": spectral_ordering(grid_8x6, method="dense"),
-            "rcm": rcm_ordering(grid_8x6),
-            "gps": gps_ordering(grid_8x6),
-            "natural": None,
-        }
-        rows = comparison_table(grid_8x6, orderings, problem="grid")
-        assert len(rows) == 4
-        by_name = {r.algorithm: r for r in rows}
-        for name, ordering in orderings.items():
-            perm = None if ordering is None else ordering.perm
-            assert by_name[name].envelope_size == envelope_size(grid_8x6, perm)
-        assert sorted(r.rank for r in rows) == [1, 2, 3, 4]
-
-    def test_run_times_recorded(self, path10):
-        rows = comparison_table(
-            path10, {"rcm": rcm_ordering(path10)}, run_times={"rcm": 1.25}
+class TestRowsFromRecords:
+    def test_rows_match_metrics_and_run_times(self, grid_8x6):
+        result = compare_orderings(
+            grid_8x6,
+            algorithms=("spectral", "rcm", "gps", "identity"),
+            problem="grid",
+            algorithm_options={"spectral": {"method": "dense"}},
         )
-        assert rows[0].run_time == pytest.approx(1.25)
+        rows = rows_from_records(result.records)
+        assert len(rows) == 4
+        for row in rows:
+            record = result.record_for("grid", row.algorithm)
+            assert row.envelope_size == envelope_size(grid_8x6, record.ordering.perm)
+            assert row.run_time == record.time_s
+        assert sorted(r.rank for r in rows) == [1, 2, 3, 4]
 
 
 class TestFormatTable:
     def test_contains_all_algorithms_and_title(self, grid_8x6):
-        orderings = {"rcm": rcm_ordering(grid_8x6), "gps": gps_ordering(grid_8x6)}
-        rows = comparison_table(grid_8x6, orderings, problem="grid_8x6")
+        rows = compare_orderings(grid_8x6, algorithms=("rcm", "gps"), problem="grid_8x6").to_rows()
         text = format_table(rows, title="Table test")
         assert "Table test" in text
         assert "RCM" in text and "GPS" in text

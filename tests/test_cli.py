@@ -91,6 +91,27 @@ class TestReorderCommand:
         assert "POW9" in capsys.readouterr().out
 
 
+class TestProblemReference:
+    """Every subcommand parses ``problem:NAME[@SCALE]`` the same way."""
+
+    @pytest.mark.parametrize("reference", ["problem:POW9@", "problem:POW9@x"])
+    @pytest.mark.parametrize("command", [
+        ["reorder"], ["compare"], ["spy"], ["fiedler"], ["order"],
+        # The payload is rejected before any connection is attempted.
+        ["order", "--server", "http://127.0.0.1:9"],
+    ], ids=["reorder", "compare", "spy", "fiedler", "order", "order-server"])
+    def test_bad_scale_exits_2_with_message(self, command, reference, capsys):
+        code = main([command[0], reference, *command[1:]])
+        assert code == 2
+        assert "invalid scale" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["reorder", "order"])
+    def test_lowercase_name_with_scale(self, command, capsys):
+        code = main([command, "problem:pow9@0.02", "--algorithm", "rcm"])
+        assert code == 0
+        assert "POW9" in capsys.readouterr().out
+
+
 class TestCompareCommand:
     def test_compare_default_algorithms(self, matrix_file, capsys):
         code = main(["compare", matrix_file])

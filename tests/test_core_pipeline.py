@@ -1,4 +1,4 @@
-"""Unit tests for the public pipeline (repro.core.pipeline) and package exports."""
+"""Unit tests for the public pipeline (repro.pipeline) and package exports."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 import repro
 from repro.collections.generators import airfoil_pattern
 from repro.collections.meshes import grid2d_pattern
-from repro.core.pipeline import compare_orderings, reorder
+from repro.pipeline import compare_orderings, reorder
 from repro.envelope.metrics import envelope_size
 
 
@@ -56,11 +56,11 @@ class TestReorder:
 class TestCompareOrderings:
     def test_default_algorithms(self, grid_8x6):
         result = compare_orderings(grid_8x6, problem="grid")
-        assert {r.algorithm for r in result.rows} == {"spectral", "gk", "gps", "rcm"}
+        assert {r.algorithm for r in result.to_rows()} == {"spectral", "gk", "gps", "rcm"}
 
     def test_custom_algorithms(self, grid_8x6):
         result = compare_orderings(grid_8x6, algorithms=("rcm", "sloan"))
-        assert {r.algorithm for r in result.rows} == {"rcm", "sloan"}
+        assert {r.algorithm for r in result.to_rows()} == {"rcm", "sloan"}
 
 
 class TestPackageExports:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core.pipeline import compare_orderings, reorder
+from repro.pipeline import compare_orderings, reorder
 from repro.eigen.fiedler import fiedler_vector
 from repro.eigen.multilevel import multilevel_fiedler
 from repro.envelope.metrics import bandwidth, envelope_size, envelope_statistics, frontwidths
@@ -64,7 +64,7 @@ class TestDegenerateGraphs:
 
     def test_compare_orderings_on_diagonal_matrix(self):
         result = compare_orderings(SymmetricPattern.empty(5), algorithms=("rcm", "gps"))
-        assert all(row.envelope_size == 0 for row in result.rows)
+        assert all(row.envelope_size == 0 for row in result.to_rows())
 
 
 class TestEigenFailureModes:
