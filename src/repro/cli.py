@@ -149,6 +149,7 @@ from repro.batch import (
     validate_stream_header,
 )
 from repro.utils.atomic import atomic_write_text
+from repro.utils.validation import require_positive_finite
 from repro.analysis.spy import ascii_spy, band_profile
 from repro.collections.registry import (
     UnknownProblemError,
@@ -167,7 +168,16 @@ __all__ = ["main", "build_parser"]
 
 
 class _BadReferenceError(ValueError):
-    """A ``problem:NAME@SCALE`` whose SCALE is empty or not a number."""
+    """A ``problem:NAME@SCALE`` whose SCALE is not a positive finite number."""
+
+
+def _scale(text: str) -> float:
+    """The ``--scale`` option type: a positive finite number, else exit 2."""
+    try:
+        return require_positive_finite(text, "scale")
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid scale {text!r}: expected a positive finite number") from None
 
 
 def _problem_reference(source: str):
@@ -177,10 +187,10 @@ def _problem_reference(source: str):
         return None
     name, at, scale_text = source[len("problem:"):].partition("@")
     try:
-        return name, float(scale_text) if at else None
+        return name, require_positive_finite(scale_text, "scale") if at else None
     except ValueError:
         raise _BadReferenceError(f"invalid scale {scale_text!r} in {source!r}: expected "
-                                 "problem:NAME[@SCALE] with a numeric SCALE") from None
+                                 "problem:NAME[@SCALE] with a positive finite SCALE") from None
 
 
 def _load_input(source: str):
@@ -854,18 +864,14 @@ def _cmd_cache(args) -> int:
             print(f"cannot write to store {store.root}: {exc}", file=sys.stderr)
             return 2
         workspace = spectral_workspace(pattern)
-        workspace.laplacian()
         workspace.components()
-        workspace.component_split()
         # Per-component subpatterns carry their own workspaces; warm the
         # nontrivial ones too (they are what the spectral ordering solves).
         for _vertices, sub in workspace.component_split():
             if sub is not None and sub is not pattern:
-                sub_ws = spectral_workspace(sub)
-                sub_ws.laplacian()
-                sub_ws.components()
+                spectral_workspace(sub).components()
         print(f"  {spec.name}: n={pattern.n} prewarmed "
-              f"(pattern, laplacian, components, split)")
+              f"(pattern, components, split)")
     print(_store_stats_line(store))
     return 1 if failures else 0
 
@@ -1228,7 +1234,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "every random-graph family")
     suite_parser.add_argument("--algorithms", default=None,
                               help="comma-separated list (default: spectral,gk,gps,rcm)")
-    suite_parser.add_argument("--scale", type=float, default=None,
+    suite_parser.add_argument("--scale", type=_scale, default=None,
                               help="surrogate scale (default: registry default)")
     suite_parser.add_argument("--jobs", type=int, default=1,
                               help="worker processes (1 = serial, identical results)")
@@ -1394,7 +1400,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache_prewarm.add_argument("problems", nargs="*",
                                help="registered problem names (default: all)")
-    cache_prewarm.add_argument("--scale", type=float, default=None,
+    cache_prewarm.add_argument("--scale", type=_scale, default=None,
                                help="surrogate scale (default: registry default)")
     _cache_store_option(cache_prewarm)
     cache_prewarm.set_defaults(func=_cmd_cache)
@@ -1419,7 +1425,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "(default: POW9 BARTH4)")
     chaos_suite.add_argument("--algorithms", default=None,
                              help="comma-separated list (default: paper set)")
-    chaos_suite.add_argument("--scale", type=float, default=0.05,
+    chaos_suite.add_argument("--scale", type=_scale, default=0.05,
                              help="surrogate scale (default 0.05 — chaos runs "
                                   "exercise machinery, not problem size)")
     chaos_suite.add_argument("--jobs", type=int, default=2,
@@ -1460,7 +1466,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="soak requests to drive to an ok answer")
     chaos_serve.add_argument("--workers", type=int, default=2,
                              help="server worker pool size")
-    chaos_serve.add_argument("--scale", type=float, default=0.05,
+    chaos_serve.add_argument("--scale", type=_scale, default=0.05,
                              help="surrogate scale of the soak cells")
     chaos_serve.add_argument("--retries", type=int, default=6,
                              help="client retry budget per request (both the "

@@ -27,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
+from repro.collections.meshes import _grid3d_edges, _grid_edges, multi_dof_pattern
 from repro.graph.components import largest_component
 from repro.sparse.pattern import SymmetricPattern
 from repro.utils.rng import default_rng
@@ -46,14 +47,34 @@ __all__ = [
 
 def _pattern_from_triangulation(points: np.ndarray) -> SymmetricPattern:
     """Delaunay-triangulate *points* and return the edge graph."""
-    tri = Delaunay(points)
-    edges = set()
-    for simplex in tri.simplices:
-        a, b, c = (int(v) for v in simplex)
-        edges.add((min(a, b), max(a, b)))
-        edges.add((min(a, c), max(a, c)))
-        edges.add((min(b, c), max(b, c)))
-    return SymmetricPattern.from_edges(points.shape[0], edges)
+    simplices = Delaunay(points).simplices
+    return SymmetricPattern.from_edge_arrays(
+        points.shape[0],
+        np.concatenate([simplices[:, 0], simplices[:, 0], simplices[:, 1]]),
+        np.concatenate([simplices[:, 1], simplices[:, 2], simplices[:, 2]]),
+    )
+
+
+def _ring_mesh_edges(
+    n_axial: int, n_around: int, offset: int = 0, stiffener_every: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays of a quadrilateral mesh of ``n_axial`` rings of
+    ``n_around`` nodes, periodic around each ring.
+
+    Node ``(i, a)`` has index ``offset + i * n_around + a`` and joins
+    ``(i, a + 1)``, ``(i + 1, a)`` and the cell diagonal ``(i + 1, a + 1)``
+    (angles modulo ``n_around``).  With *stiffener_every*, every ring ``i``
+    divisible by it also gets braces to the node a quarter turn away.
+    """
+    index = offset + np.arange(n_axial * n_around, dtype=np.intp).reshape(n_axial, n_around)
+    after = np.roll(index, -1, axis=1)
+    rows = [index.ravel(), index[:-1].ravel(), index[:-1].ravel()]
+    cols = [after.ravel(), index[1:].ravel(), after[1:].ravel()]
+    if stiffener_every:
+        rings = index[np.arange(n_axial) % stiffener_every == 0]
+        rows.append(rings.ravel())
+        cols.append(np.roll(rings, -max(1, n_around // 4), axis=1).ravel())
+    return np.concatenate(rows), np.concatenate(cols)
 
 
 def _ensure_connected(pattern: SymmetricPattern) -> SymmetricPattern:
@@ -108,15 +129,9 @@ def annulus_pattern(n_rings: int = 20, n_around: int = 134) -> SymmetricPattern:
     """
     n_rings = require_positive_int(n_rings, "n_rings", minimum=2)
     n_around = require_positive_int(n_around, "n_around", minimum=3)
-    idx = lambda r, a: r * n_around + a
-    edges = []
-    for r in range(n_rings):
-        for a in range(n_around):
-            edges.append((idx(r, a), idx(r, (a + 1) % n_around)))
-            if r + 1 < n_rings:
-                edges.append((idx(r, a), idx(r + 1, a)))
-                edges.append((idx(r, a), idx(r + 1, (a + 1) % n_around)))
-    return SymmetricPattern.from_edges(n_rings * n_around, edges)
+    return SymmetricPattern.from_edge_arrays(
+        n_rings * n_around, *_ring_mesh_edges(n_rings, n_around)
+    )
 
 
 def cylinder_shell_pattern(
@@ -143,22 +158,11 @@ def cylinder_shell_pattern(
     """
     n_axial = require_positive_int(n_axial, "n_axial", minimum=2)
     n_around = require_positive_int(n_around, "n_around", minimum=3)
-    idx = lambda i, a: i * n_around + a
-    edges = []
-    for i in range(n_axial):
-        for a in range(n_around):
-            edges.append((idx(i, a), idx(i, (a + 1) % n_around)))
-            if i + 1 < n_axial:
-                edges.append((idx(i, a), idx(i + 1, a)))
-                edges.append((idx(i, a), idx(i + 1, (a + 1) % n_around)))
-        if stiffener_every and i % stiffener_every == 0:
-            quarter = max(1, n_around // 4)
-            for a in range(n_around):
-                edges.append((idx(i, a), idx(i, (a + quarter) % n_around)))
-    base = SymmetricPattern.from_edges(n_axial * n_around, edges)
+    base = SymmetricPattern.from_edge_arrays(
+        n_axial * n_around,
+        *_ring_mesh_edges(n_axial, n_around, stiffener_every=stiffener_every),
+    )
     if dofs_per_node > 1:
-        from repro.collections.meshes import multi_dof_pattern
-
         return multi_dof_pattern(base, dofs_per_node)
     return base
 
@@ -179,16 +183,8 @@ def plate_with_holes_pattern(
         keep &= (ii - cx) ** 2 + (jj - cy) ** 2 > radius**2
     index = -np.ones((nx, ny), dtype=np.intp)
     index[keep] = np.arange(int(keep.sum()), dtype=np.intp)
-    edges = []
-    for i in range(nx):
-        for j in range(ny):
-            if not keep[i, j]:
-                continue
-            for di, dj in ((1, 0), (0, 1), (1, 1), (1, -1)):
-                ii, jj = i + di, j + dj
-                if 0 <= ii < nx and 0 <= jj < ny and keep[ii, jj]:
-                    edges.append((int(index[i, j]), int(index[ii, jj])))
-    pattern = SymmetricPattern.from_edges(int(keep.sum()), edges)
+    rows, cols = _grid_edges(index, ((1, 0), (0, 1), (1, 1), (1, -1)))
+    pattern = SymmetricPattern.from_edge_arrays(int(keep.sum()), rows, cols)
     return _ensure_connected(pattern)
 
 
@@ -234,7 +230,7 @@ def random_geometric_pattern(n: int = 500, radius: float | None = None, seed=Non
         radius = float(np.sqrt(7.0 / (np.pi * n)))
     tree = cKDTree(points)
     pairs = tree.query_pairs(radius, output_type="ndarray")
-    pattern = SymmetricPattern.from_edges(n, [(int(a), int(b)) for a, b in pairs])
+    pattern = SymmetricPattern.from_edge_arrays(n, pairs[:, 0], pairs[:, 1])
     return _ensure_connected(pattern)
 
 
@@ -275,7 +271,9 @@ def shell_assembly_pattern(
         Deterministic seed for cutout/panel placement.
     """
     rng = default_rng(seed)
-    edges: list[tuple[int, int]] = []
+    rows: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
+    edges: list[tuple[int, int]] = []  # the few hand-placed joins and attachments
     removed: set[int] = set()
     offset = 0
     segment_meta = []  # (offset, n_axial, n_around)
@@ -283,17 +281,9 @@ def shell_assembly_pattern(
     for n_axial, n_around in segments:
         n_axial = require_positive_int(n_axial, "n_axial", minimum=2)
         n_around = require_positive_int(n_around, "n_around", minimum=3)
-        idx = lambda i, a, off=offset, na=n_around: off + i * na + a
-        for i in range(n_axial):
-            for a in range(n_around):
-                edges.append((idx(i, a), idx(i, (a + 1) % n_around)))
-                if i + 1 < n_axial:
-                    edges.append((idx(i, a), idx(i + 1, a)))
-                    edges.append((idx(i, a), idx(i + 1, (a + 1) % n_around)))
-            if stiffener_every and i % stiffener_every == 0:
-                quarter = max(1, n_around // 4)
-                for a in range(n_around):
-                    edges.append((idx(i, a), idx(i, (a + quarter) % n_around)))
+        u, v = _ring_mesh_edges(n_axial, n_around, offset, stiffener_every)
+        rows.append(u)
+        cols.append(v)
         segment_meta.append((offset, n_axial, n_around))
         offset += n_axial * n_around
 
@@ -328,31 +318,29 @@ def shell_assembly_pattern(
         py = int(rng.integers(3, 7))
         ring = int(rng.integers(0, n_axial))
         start_angle = int(rng.integers(0, n_around))
-        panel_idx = lambda i, j, off2=extra_offset, w=py: off2 + i * w + j
-        for i in range(px):
-            for j in range(py):
-                if i + 1 < px:
-                    edges.append((panel_idx(i, j), panel_idx(i + 1, j)))
-                if j + 1 < py:
-                    edges.append((panel_idx(i, j), panel_idx(i, j + 1)))
+        panel = extra_offset + np.arange(px * py, dtype=np.intp).reshape(px, py)
+        u, v = _grid_edges(panel, ((1, 0), (0, 1)))
+        rows.append(u)
+        cols.append(v)
         for j in range(py):
             shell_vertex = off + ring * n_around + (start_angle + j) % n_around
-            edges.append((panel_idx(0, j), shell_vertex))
+            edges.append((int(panel[0, j]), shell_vertex))
         extra_offset += px * py
 
     n_total = extra_offset
     keep = np.ones(n_total, dtype=bool)
     keep[list(removed)] = False
-    kept_edges = [(u, v) for u, v in edges if keep[u] and keep[v]]
+    pairs = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+    u = np.concatenate(rows + [pairs[:, 0]])
+    v = np.concatenate(cols + [pairs[:, 1]])
+    kept = keep[u] & keep[v]
     remap = -np.ones(n_total, dtype=np.intp)
     remap[keep] = np.arange(int(keep.sum()), dtype=np.intp)
-    pattern = SymmetricPattern.from_edges(
-        int(keep.sum()), [(int(remap[u]), int(remap[v])) for u, v in kept_edges]
+    pattern = SymmetricPattern.from_edge_arrays(
+        int(keep.sum()), remap[u[kept]], remap[v[kept]]
     )
     pattern = _ensure_connected(pattern)
     if dofs_per_node > 1:
-        from repro.collections.meshes import multi_dof_pattern
-
         pattern = multi_dof_pattern(pattern, dofs_per_node)
     return pattern
 
@@ -376,18 +364,17 @@ def perforated_solid_pattern(
     removes ellipsoidal cavities from a brick mesh and glues smaller bricks
     onto randomly chosen faces.
     """
-    from repro.collections.meshes import grid3d_pattern, multi_dof_pattern
-
     nx = require_positive_int(nx, "nx", minimum=3)
     ny = require_positive_int(ny, "ny", minimum=3)
     nz = require_positive_int(nz, "nz", minimum=3)
     rng = default_rng(seed)
 
-    base = grid3d_pattern(nx, ny, nz, stencil=stencil)
-    coords = np.array(
-        [(i, j, k) for i in range(nx) for j in range(ny) for k in range(nz)], dtype=float
-    )
-    keep = np.ones(base.n, dtype=bool)
+    base_rows, base_cols = _grid3d_edges(nx, ny, nz, stencil)
+    n_base = nx * ny * nz
+    coords = np.stack(
+        np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij"), axis=-1
+    ).reshape(n_base, 3).astype(float)
+    keep = np.ones(n_base, dtype=bool)
     dims = np.array([nx, ny, nz], dtype=float)
     for _ in range(max(0, cavities)):
         centre = rng.uniform(0.25, 0.75, size=3) * dims
@@ -395,13 +382,11 @@ def perforated_solid_pattern(
         inside = np.sum(((coords - centre) / np.maximum(radii, 1e-9)) ** 2, axis=1) < 1.0
         keep &= ~inside
 
-    kept_index = -np.ones(base.n, dtype=np.intp)
+    kept_index = -np.ones(n_base, dtype=np.intp)
     kept_index[keep] = np.arange(int(keep.sum()), dtype=np.intp)
-    edges = [
-        (int(kept_index[u]), int(kept_index[v]))
-        for u, v in base.edges()
-        if keep[u] and keep[v]
-    ]
+    kept = keep[base_rows] & keep[base_cols]
+    rows = [kept_index[base_rows[kept]]]
+    cols = [kept_index[base_cols[kept]]]
     n_total = int(keep.sum())
 
     # Attach smaller bricks ("appendages") onto the x = nx-1 face.
@@ -409,20 +394,23 @@ def perforated_solid_pattern(
         ax = int(rng.integers(3, 6))
         ay = int(rng.integers(3, max(4, ny // 2)))
         az = int(rng.integers(3, max(4, nz // 2)))
-        sub = grid3d_pattern(ax, ay, az, stencil=stencil)
+        sub_rows, sub_cols = _grid3d_edges(ax, ay, az, stencil)
         offset = n_total
-        for u, v in sub.edges():
-            edges.append((offset + int(u), offset + int(v)))
+        rows.append(offset + sub_rows)
+        cols.append(offset + sub_cols)
         j0 = int(rng.integers(0, max(1, ny - ay)))
         k0 = int(rng.integers(0, max(1, nz - az)))
-        for j in range(ay):
-            for k in range(az):
-                host = kept_index[((nx - 1) * ny + (j0 + j)) * nz + (k0 + k)]
-                if host >= 0:
-                    edges.append((int(host), offset + (0 * ay + j) * az + k))
-        n_total += sub.n
+        j, k = np.meshgrid(np.arange(ay), np.arange(az), indexing="ij")
+        host = kept_index[((nx - 1) * ny + (j0 + j)) * nz + (k0 + k)].ravel()
+        guest = (offset + j * az + k).ravel()
+        attached = host >= 0
+        rows.append(host[attached])
+        cols.append(guest[attached])
+        n_total += ax * ay * az
 
-    pattern = _ensure_connected(SymmetricPattern.from_edges(n_total, edges))
+    pattern = _ensure_connected(
+        SymmetricPattern.from_edge_arrays(n_total, np.concatenate(rows), np.concatenate(cols))
+    )
     if dofs_per_node > 1:
         pattern = multi_dof_pattern(pattern, dofs_per_node)
     return pattern

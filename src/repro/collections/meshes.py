@@ -70,6 +70,27 @@ def binary_tree_pattern(depth: int) -> SymmetricPattern:
     return SymmetricPattern.from_edges(n, edges)
 
 
+def _grid_edges(index: np.ndarray, offsets) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays joining each cell of a grid to its neighbour at every offset.
+
+    *index* maps grid cells to vertex numbers, with ``-1`` marking a removed
+    cell; *offsets* are integer shift vectors of the grid's dimension.  Pairs
+    that leave the grid or touch a removed cell are dropped.
+    """
+    rows, cols = [], []
+    for offset in offsets:
+        src, dst = [], []
+        for shift, size in zip(offset, index.shape):
+            length = max(0, size - abs(shift))
+            src.append(slice(max(0, -shift), max(0, -shift) + length))
+            dst.append(slice(max(0, shift), max(0, shift) + length))
+        u, v = index[tuple(src)].ravel(), index[tuple(dst)].ravel()
+        kept = (u >= 0) & (v >= 0)
+        rows.append(u[kept])
+        cols.append(v[kept])
+    return np.concatenate(rows), np.concatenate(cols)
+
+
 def grid2d_pattern(nx: int, ny: int, stencil: int = 5) -> SymmetricPattern:
     """Regular ``nx x ny`` grid.
 
@@ -90,20 +111,27 @@ def grid2d_pattern(nx: int, ny: int, stencil: int = 5) -> SymmetricPattern:
     ny = require_positive_int(ny, "ny")
     if stencil not in (5, 9):
         raise ValueError(f"stencil must be 5 or 9, got {stencil}")
-    idx = lambda i, j: i * ny + j
-    edges = []
-    for i in range(nx):
-        for j in range(ny):
-            if i + 1 < nx:
-                edges.append((idx(i, j), idx(i + 1, j)))
-            if j + 1 < ny:
-                edges.append((idx(i, j), idx(i, j + 1)))
-            if stencil == 9:
-                if i + 1 < nx and j + 1 < ny:
-                    edges.append((idx(i, j), idx(i + 1, j + 1)))
-                if i + 1 < nx and j - 1 >= 0:
-                    edges.append((idx(i, j), idx(i + 1, j - 1)))
-    return SymmetricPattern.from_edges(nx * ny, edges)
+    offsets = [(1, 0), (0, 1)] + ([(1, 1), (1, -1)] if stencil == 9 else [])
+    index = np.arange(nx * ny, dtype=np.intp).reshape(nx, ny)
+    return SymmetricPattern.from_edge_arrays(nx * ny, *_grid_edges(index, offsets))
+
+
+def _grid3d_edges(nx: int, ny: int, nz: int, stencil: int = 7) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays of :func:`grid3d_pattern`'s edges (each pair once)."""
+    if stencil not in (7, 27):
+        raise ValueError(f"stencil must be 7 or 27, got {stencil}")
+    if stencil == 7:
+        offsets = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    else:
+        offsets = [
+            (di, dj, dk)
+            for di in (-1, 0, 1)
+            for dj in (-1, 0, 1)
+            for dk in (-1, 0, 1)
+            if (di, dj, dk) > (0, 0, 0)
+        ]
+    index = np.arange(nx * ny * nz, dtype=np.intp).reshape(nx, ny, nz)
+    return _grid_edges(index, offsets)
 
 
 def grid3d_pattern(nx: int, ny: int, nz: int, stencil: int = 7) -> SymmetricPattern:
@@ -122,28 +150,8 @@ def grid3d_pattern(nx: int, ny: int, nz: int, stencil: int = 7) -> SymmetricPatt
     nx = require_positive_int(nx, "nx")
     ny = require_positive_int(ny, "ny")
     nz = require_positive_int(nz, "nz")
-    if stencil not in (7, 27):
-        raise ValueError(f"stencil must be 7 or 27, got {stencil}")
-    idx = lambda i, j, k: (i * ny + j) * nz + k
-    if stencil == 7:
-        offsets = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    else:
-        offsets = [
-            (di, dj, dk)
-            for di in (-1, 0, 1)
-            for dj in (-1, 0, 1)
-            for dk in (-1, 0, 1)
-            if (di, dj, dk) > (0, 0, 0)
-        ]
-    edges = []
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                for di, dj, dk in offsets:
-                    ii, jj, kk = i + di, j + dj, k + dk
-                    if 0 <= ii < nx and 0 <= jj < ny and 0 <= kk < nz:
-                        edges.append((idx(i, j, k), idx(ii, jj, kk)))
-    return SymmetricPattern.from_edges(nx * ny * nz, edges)
+    rows, cols = _grid3d_edges(nx, ny, nz, stencil)
+    return SymmetricPattern.from_edge_arrays(nx * ny * nz, rows, cols)
 
 
 def multi_dof_pattern(pattern: SymmetricPattern, dofs_per_node: int) -> SymmetricPattern:
@@ -160,16 +168,17 @@ def multi_dof_pattern(pattern: SymmetricPattern, dofs_per_node: int) -> Symmetri
     if d == 1:
         return pattern.copy()
     n = pattern.n
-    edges = []
-    for i in range(n):
-        # Intra-node coupling between the d unknowns of node i.
-        for a in range(d):
-            for b in range(a + 1, d):
-                edges.append((i * d + a, i * d + b))
-        for j in pattern.neighbors(i):
-            if j < i:
-                continue
-            for a in range(d):
-                for b in range(d):
-                    edges.append((i * d + a, int(j) * d + b))
-    return SymmetricPattern.from_edges(n * d, edges)
+    # Each edge i < j of the upper triangle becomes a full d x d block.
+    rows = np.repeat(np.arange(n, dtype=np.intp), np.diff(pattern.indptr))
+    upper = rows < pattern.indices
+    a, b = np.divmod(np.arange(d * d, dtype=np.intp), d)
+    block_rows = rows[upper, None] * d + a
+    block_cols = pattern.indices[upper, None] * d + b
+    # The d unknowns of one node are coupled with each other.
+    a, b = np.triu_indices(d, 1)
+    nodes = np.arange(n, dtype=np.intp)[:, None] * d
+    return SymmetricPattern.from_edge_arrays(
+        n * d,
+        np.concatenate([block_rows.ravel(), (nodes + a).ravel()]),
+        np.concatenate([block_cols.ravel(), (nodes + b).ravel()]),
+    )

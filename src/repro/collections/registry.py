@@ -40,6 +40,7 @@ from repro.collections.generators import (
 from repro.collections.meshes import grid2d_pattern, grid3d_pattern, multi_dof_pattern
 from repro.collections.random_graphs import RANDOM_PROBLEMS, GeneratorSpec
 from repro.sparse.pattern import SymmetricPattern
+from repro.utils.validation import require_positive_finite
 
 __all__ = [
     "ProblemSpec",
@@ -96,9 +97,7 @@ class ProblemSpec:
         """Build the surrogate pattern at the given (or default) scale."""
         if scale is None:
             scale = default_scale()
-        if scale <= 0:
-            raise ValueError(f"scale must be positive, got {scale}")
-        return self.generator(scale)
+        return self.generator(require_positive_finite(scale, "scale"))
 
 
 def default_scale() -> float:
@@ -110,11 +109,6 @@ def default_scale() -> float:
         return float(value)
     except ValueError as exc:
         raise ValueError(f"REPRO_BENCH_SCALE must be a float, got {value!r}") from exc
-
-
-def _linear(scale: float, paper_value: int, minimum: int) -> int:
-    """Scale a linear mesh dimension: ``round(paper_value * scale**(1/d))`` ~ handled by caller."""
-    return max(minimum, int(round(paper_value * scale)))
 
 
 def _dim2(scale: float, value: int, minimum: int = 4) -> int:

@@ -35,9 +35,12 @@ pattern itself; dropping the pattern (e.g.
 :func:`repro.batch.engine.clear_problem_cache`) drops the plan with it.
 
 Persistence: when a default :mod:`repro.store` is configured (``--store`` /
-``REPRO_STORE``), each artifact is loaded from disk on first touch and
-spilled to disk on first build, so suite workers, bench repeats and future
-server processes share warm state across process boundaries.  Loaded
+``REPRO_STORE``), the component labels, the component split and the
+deterministic hierarchies are loaded from disk on first touch and spilled to
+disk on first build, so suite workers, bench repeats and future server
+processes share warm state across process boundaries.  The Laplacian is the
+exception: it is always assembled in memory, because building it costs less
+than compressing, writing and reading back an entry of its size.  Loaded
 artifacts are byte-identical to built ones (deterministic pure functions of
 the structure), so the warm-vs-cold identity above extends across processes;
 store I/O failures and corrupt entries silently fall back to building.
@@ -114,28 +117,17 @@ class SpectralWorkspace:
     def laplacian(self):
         """The (unweighted) graph Laplacian CSR, built once per pattern.
 
-        Callers must treat the returned matrix as immutable — it is shared
-        across every solver invocation on this pattern.
+        Never persisted: :func:`~repro.graph.laplacian.laplacian_matrix`
+        rebuilds it from the CSR faster than a store entry of its size is
+        compressed or read back.  Callers must treat the returned matrix as
+        immutable — it is shared across every solver invocation on this
+        pattern.
         """
         if self._laplacian is None:
-            store = self._store()
-            if store is not None:
-                from repro.store import spectral as codecs
-
-                loaded = codecs.load_laplacian(store, self.digest())
-                if loaded is not None:
-                    self._laplacian = loaded
-                    self.info["store_loads"] += 1
-                    return self._laplacian
             from repro.graph.laplacian import laplacian_matrix
 
             self._laplacian = laplacian_matrix(self.pattern)
             self.info["laplacian_builds"] += 1
-            if store is not None:
-                from repro.store import spectral as codecs
-
-                self._spill(codecs.save_laplacian, store, self.digest(),
-                            self._laplacian)
         else:
             self.info["laplacian_hits"] += 1
         return self._laplacian

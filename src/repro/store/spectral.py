@@ -14,13 +14,15 @@ Artifact kinds
     A problem's surrogate structure, keyed by registry name + scale (the
     cross-process twin of the per-worker problem cache, and the unit
     ``repro cache prewarm`` builds).
-``laplacian`` / ``components`` / ``split`` / ``hierarchy``
+``components`` / ``split`` / ``hierarchy``
     The :class:`~repro.eigen.workspace.SpectralWorkspace` artifacts, keyed by
     the pattern's structural digest.  Hierarchy entries additionally key on
     ``(coarsest_size, max_levels, strategy)`` and exist only for the
-    deterministic MIS strategies; per-level Laplacians are *not* stored —
-    they are rebuilt bit-identically by
-    :func:`repro.graph.laplacian.laplacian_matrix` on load.
+    deterministic MIS strategies.  No Laplacian is stored, neither the
+    pattern's nor a hierarchy level's: each is rebuilt bit-identically by
+    :func:`repro.graph.laplacian.laplacian_matrix`, which is cheaper than
+    compressing and reading back an entry of its size.  ``laplacian``
+    entries an older store may hold are never read.
 ``fiedler``
     A converged :class:`~repro.eigen.fiedler.FiedlerResult`, keyed by solver
     method, tolerances, options **and a digest of the rng state before the
@@ -37,11 +39,10 @@ import json
 import numpy as np
 
 __all__ = [
-    "PATTERN_VERSION", "LAPLACIAN_VERSION", "COMPONENTS_VERSION",
+    "PATTERN_VERSION", "COMPONENTS_VERSION",
     "SPLIT_VERSION", "HIERARCHY_VERSION", "FIEDLER_VERSION",
     "pattern_digest", "problem_digest", "rng_state_json", "rng_state_digest",
     "save_pattern", "load_pattern",
-    "save_laplacian", "load_laplacian",
     "save_components", "load_components",
     "save_split", "load_split",
     "save_hierarchy", "load_hierarchy",
@@ -50,7 +51,6 @@ __all__ = [
 
 #: Builder versions — bump when the producing algorithm's output can change.
 PATTERN_VERSION = 1      # repro.collections registry generators
-LAPLACIAN_VERSION = 1    # repro.graph.laplacian.laplacian_matrix
 COMPONENTS_VERSION = 1   # repro.graph.components.connected_components
 SPLIT_VERSION = 1        # SpectralWorkspace.component_split
 HIERARCHY_VERSION = 1    # repro.graph.coarsen.coarsening_hierarchy
@@ -124,35 +124,6 @@ def load_pattern(store, problem: str, scale):
         return SymmetricPattern(int(indptr.size - 1), indptr, indices)
     except ValueError:
         return None
-
-
-# --------------------------------------------------------------------- #
-# laplacian
-# --------------------------------------------------------------------- #
-def save_laplacian(store, digest: str, laplacian):
-    return store.save(
-        "laplacian", LAPLACIAN_VERSION, digest,
-        {"indptr": laplacian.indptr, "indices": laplacian.indices,
-         "data": laplacian.data},
-    )
-
-
-def load_laplacian(store, digest: str):
-    arrays = store.load("laplacian", LAPLACIAN_VERSION, digest)
-    if arrays is None:
-        return None
-    import scipy.sparse as sp
-
-    indptr = arrays["indptr"]
-    n = int(indptr.size - 1)
-    try:
-        lap = sp.csr_matrix(
-            (arrays["data"], arrays["indices"], indptr), shape=(n, n)
-        )
-    except (ValueError, IndexError):
-        return None
-    lap.has_sorted_indices = True  # stored from a canonically-sorted build
-    return lap
 
 
 # --------------------------------------------------------------------- #

@@ -12,6 +12,7 @@ import scipy.sparse as sp
 
 __all__ = [
     "require_positive_int",
+    "require_positive_finite",
     "check_permutation",
     "check_square",
     "check_symmetric_structure",
@@ -55,6 +56,23 @@ def require_positive_int(value, name: str, minimum: int = 1) -> int:
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return value
+
+
+def require_positive_finite(value, name: str) -> float:
+    """Validate that *value* is a finite number ``> 0`` and return it as a float.
+
+    Raises
+    ------
+    ValueError
+        If *value* is not a number, not finite (``nan``/``inf``) or ``<= 0``.
+    """
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = float("nan")
+    if not (np.isfinite(number) and number > 0):
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+    return number
 
 
 def as_int_array(values, name: str) -> np.ndarray:

@@ -116,8 +116,10 @@ class TestCacheCommand:
         assert main(["cache", "ls", "--store", str(cache)]) == 0
         out = capsys.readouterr().out
         assert "KIND" in out
-        for kind in ("pattern", "laplacian", "components", "fiedler"):
+        for kind in ("pattern", "components", "fiedler"):
             assert kind in out
+        # Laplacians are rebuilt in memory, never stored.
+        assert "laplacian" not in out
 
     def test_info_json_is_machine_readable(self, tmp_path, capsys):
         cache = self._populate(tmp_path)
@@ -135,9 +137,11 @@ class TestCacheCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "POW9" in out
+        assert "laplacian" not in out
         store = ArtifactStore(cache)
         kinds = {row["kind"] for row in store.entries()}
-        assert {"pattern", "laplacian", "components"} <= kinds
+        assert {"pattern", "components", "split"} <= kinds
+        assert "laplacian" not in kinds
 
         reset_default_store()
         clear_problem_cache()

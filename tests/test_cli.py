@@ -94,7 +94,10 @@ class TestReorderCommand:
 class TestProblemReference:
     """Every subcommand parses ``problem:NAME[@SCALE]`` the same way."""
 
-    @pytest.mark.parametrize("reference", ["problem:POW9@", "problem:POW9@x"])
+    @pytest.mark.parametrize("reference", [
+        "problem:POW9@", "problem:POW9@x", "problem:POW9@nan", "problem:POW9@inf",
+        "problem:POW9@0", "problem:POW9@-1",
+    ])
     @pytest.mark.parametrize("command", [
         ["reorder"], ["compare"], ["spy"], ["fiedler"], ["order"],
         # The payload is rejected before any connection is attempted.
@@ -103,6 +106,17 @@ class TestProblemReference:
     def test_bad_scale_exits_2_with_message(self, command, reference, capsys):
         code = main([command[0], reference, *command[1:]])
         assert code == 2
+        assert "invalid scale" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "0", "x"])
+    @pytest.mark.parametrize("command", [
+        ["suite", "POW9"], ["cache", "prewarm", "POW9"], ["chaos", "suite"],
+        ["chaos", "serve"],
+    ], ids=["suite", "cache-prewarm", "chaos-suite", "chaos-serve"])
+    def test_bad_scale_option_exits_2(self, command, scale, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, f"--scale={scale}"])
+        assert excinfo.value.code == 2
         assert "invalid scale" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["reorder", "order"])

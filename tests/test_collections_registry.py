@@ -67,6 +67,12 @@ class TestLoadProblem:
         with pytest.raises(ValueError):
             load_problem("POW9", scale=0.0)
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), float("-inf"), -0.5])
+    @pytest.mark.parametrize("name", ["POW9", "RANDOM/BA"])
+    def test_non_finite_or_negative_scale_rejected(self, name, scale):
+        with pytest.raises(ValueError, match="scale must be a positive finite number"):
+            load_problem(name, scale=scale)
+
     @pytest.mark.parametrize("name", sorted(PAPER_PROBLEMS))
     def test_every_surrogate_builds_and_is_connected(self, name):
         pattern, spec = load_problem(name, scale=0.02)

@@ -13,8 +13,12 @@ Covers the tentpole contracts of the store:
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from repro.collections.meshes import grid2d_pattern
 from repro.eigen.fiedler import fiedler_vector
 from repro.eigen.multilevel import multilevel_fiedler
 from repro.eigen.workspace import spectral_workspace
+from repro.graph.laplacian import laplacian_matrix
 from repro.orderings.registry import ORDERING_ALGORITHMS
 from repro.sparse.pattern import SymmetricPattern
 from repro.store import (
@@ -189,18 +194,19 @@ class TestCodecs:
         assert pattern_digest(a) == pattern_digest(a.copy())
         assert pattern_digest(a) != pattern_digest(b)
 
-    def test_laplacian_roundtrip_bit_identical(self, tmp_path):
+    def test_laplacian_rebuilt_never_stored(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        for pattern in _patterns():
-            digest = pattern_digest(pattern)
-            lap = spectral_workspace(pattern.copy()).laplacian()
-            codecs.save_laplacian(store, digest, lap)
-            loaded = codecs.load_laplacian(store, digest)
-            np.testing.assert_array_equal(loaded.indptr, lap.indptr)
-            np.testing.assert_array_equal(loaded.indices, lap.indices)
-            np.testing.assert_array_equal(loaded.data, lap.data)
-            assert loaded.indices.dtype == lap.indices.dtype
-            assert loaded.data.dtype == lap.data.dtype
+        set_default_store(store)
+        for seed, pattern in enumerate(_patterns()):
+            ORDERING_ALGORITHMS["spectral"](pattern, rng=np.random.default_rng(seed))
+            lap = spectral_workspace(pattern).laplacian()
+            fresh = laplacian_matrix(pattern)
+            np.testing.assert_array_equal(lap.indptr, fresh.indptr)
+            np.testing.assert_array_equal(lap.indices, fresh.indices)
+            np.testing.assert_array_equal(lap.data, fresh.data)
+        kinds = {row["kind"] for row in store.entries()}
+        assert {"components", "split", "fiedler"} <= kinds
+        assert "laplacian" not in kinds
 
     def test_components_and_split_roundtrip(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -292,6 +298,48 @@ class TestWarmFromDiskIdentity:
         warm = multilevel_fiedler(pattern.copy(), coarsest_size=40, rng=9)
         assert warm.eigenvalue == cold.eigenvalue
         np.testing.assert_array_equal(warm.eigenvector, cold.eigenvector)
+
+    def test_second_process_rebuilds_laplacian_identically(self, tmp_path):
+        """A fresh interpreter on a warm store reads the hierarchy, builds the
+        Laplacians itself and returns the cold run's exact Fiedler vector."""
+        pattern = random_geometric_pattern(300, seed=5)
+        cold = multilevel_fiedler(pattern.copy(), coarsest_size=40, rng=9)
+        store = ArtifactStore(tmp_path / "store")
+        set_default_store(store)
+        multilevel_fiedler(pattern.copy(), coarsest_size=40, rng=9)
+        set_default_store(None)
+        kinds = {row["kind"] for row in store.entries()}
+        assert "hierarchy" in kinds and "laplacian" not in kinds
+
+        child = (
+            "import json, sys\n"
+            "import numpy as np\n"
+            "from repro.collections.generators import random_geometric_pattern\n"
+            "from repro.eigen.multilevel import multilevel_fiedler\n"
+            "from repro.eigen.workspace import spectral_workspace\n"
+            "from repro.store import get_default_store\n"
+            "pattern = random_geometric_pattern(300, seed=5)\n"
+            "result = multilevel_fiedler(pattern, coarsest_size=40, rng=9)\n"
+            "np.save(sys.argv[1], result.eigenvector)\n"
+            "print(json.dumps({'eigenvalue': repr(result.eigenvalue),\n"
+            "                  'info': spectral_workspace(pattern).info,\n"
+            "                  'hits': get_default_store().stats['hits']}))\n"
+        )
+        env = dict(os.environ, REPRO_STORE=str(store.root))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parent.parent / "src"),
+             *filter(None, [env.get("PYTHONPATH")])])
+        vector_path = tmp_path / "vector.npy"
+        proc = subprocess.run([sys.executable, "-c", child, str(vector_path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["hits"] > 0
+        assert report["info"]["store_loads"] >= 1
+        assert report["info"]["laplacian_builds"] == 1
+        assert report["eigenvalue"] == repr(cold.eigenvalue)
+        assert np.load(vector_path).tobytes() == cold.eigenvector.tobytes()
+        assert "laplacian" not in {row["kind"] for row in store.entries()}
 
     def test_task_records_identical_with_store(self, tmp_path):
         """The batch engine's canonical record is store-invariant."""
